@@ -1,0 +1,164 @@
+"""Divergence reports and matchability bounds.
+
+The central quantity is the exact divergence between the uniform distribution
+on a cell and the product target, computed by direct summation over the cell:
+
+    D = -log2(|cell|) - (1/|cell|) * sum over reps of sum_i log2 P(rep_i)
+
+Representatives are visited in syndrome order and coordinates in index order,
+so reports are bit-reproducible.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .codes import MAX_CODEWORDS, draw_full_rank, enumerate_codewords, rate
+from .distributions import (
+    DiscreteTarget,
+    alpha,
+    log2_likelihoods,
+)
+from .errors import TooLargeError
+from .partition import FundamentalRegion
+
+BOUND_TOL = 1e-9
+
+
+def kl_region_vs_product(region: FundamentalRegion, target: DiscreteTarget) -> float:
+    """D(uniform on the cell || n-fold product of the target), in bits."""
+    ll = log2_likelihoods(region.reps, target)
+    size = region.size
+    return float(-math.log2(size) - float(ll.sum()) / size)
+
+
+def marginals(region: FundamentalRegion) -> np.ndarray:
+    """Per-coordinate pmfs of the uniform distribution on the cell, rows = coordinates."""
+    p = region.code.p
+    out = np.empty((region.code.n, p), dtype=np.float64)
+    for i in range(region.code.n):
+        out[i] = np.bincount(region.reps[:, i], minlength=p) / region.size
+    return out
+
+
+def sum_marginal_kl(region: FundamentalRegion, target: DiscreteTarget) -> float:
+    """Sum over coordinates of D(marginal_i || target) in bits.
+
+    Never exceeds the joint divergence; equality holds when the cell is a
+    coordinate box.
+    """
+    total = 0.0
+    for row in marginals(region):
+        for q, lt in zip(row.tolist(), target.log2_probs.tolist()):
+            if q > 0.0:
+                total += q * (math.log2(q) - lt)
+    return total
+
+
+def eps_star(
+    region: FundamentalRegion, target: DiscreteTarget
+) -> tuple[float, float, bool]:
+    """Bad-coset fraction, the divergence budget it implies, and the check.
+
+    Budget per dimension: 3*eps + bad_fraction * (alpha - eps). The check
+    compares the exact per-dimension divergence against it with a 1e-9 slack.
+    """
+    bf = 1.0 - float(region.good_flags.mean())
+    budget = 3.0 * region.epsilon + bf * (alpha(target) - region.epsilon)
+    per_dim = kl_region_vs_product(region, target) / region.code.n
+    return bf, budget, bool(per_dim <= budget + BOUND_TOL)
+
+
+@dataclass(frozen=True, eq=False)
+class AnalysisReport:
+    """Everything the divergence report carries."""
+
+    D_total_bits: float
+    D_per_dim: float
+    marginal_distributions: np.ndarray
+    sum_marginal_D_bits: float
+    bad_fraction: float
+    epsilon: float
+    alpha: float
+    eps_star: float
+    bound_satisfied: bool
+
+
+def analyze_region(region: FundamentalRegion, target: DiscreteTarget) -> AnalysisReport:
+    d = kl_region_vs_product(region, target)
+    bf, budget, ok = eps_star(region, target)
+    return AnalysisReport(
+        D_total_bits=d,
+        D_per_dim=d / region.code.n,
+        marginal_distributions=marginals(region),
+        sum_marginal_D_bits=sum_marginal_kl(region, target),
+        bad_fraction=bf,
+        epsilon=region.epsilon,
+        alpha=alpha(target),
+        eps_star=budget,
+        bound_satisfied=ok,
+    )
+
+
+def lemma1_bound(n: int, rate_bits: float, p: int, entropy_bits: float, eps: float) -> float:
+    """Closed-form ceiling on the chance that no shifted codeword pairs with a point.
+
+    Value: (1 - eps)**-1 * 2**(-n * (R - (log2 p - H + eps))). Meaningful as a
+    probability only when it is below one; it decays once the rate clears
+    log2 p - H + eps.
+    """
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    expo = rate_bits - (math.log2(p) - entropy_bits + eps)
+    return 2.0 ** (-n * expo) / (1.0 - eps)
+
+
+@dataclass(frozen=True)
+class MatchabilityEstimate:
+    trials: int
+    failures: int
+    empirical_failure_rate: float
+    chebyshev_bound: float
+
+
+def estimate_match_probability(
+    target: DiscreteTarget,
+    n: int,
+    k: int,
+    trials: int,
+    seed,
+    *,
+    epsilon: float | None = None,
+    max_codewords: int | None = None,
+) -> MatchabilityEstimate:
+    """Monte Carlo failure rate of matching the origin with a shifted codebook.
+
+    Each trial draws a fresh code and an independent uniform shift from the
+    substream (seed, trial); a trial fails when no shifted codeword forms a
+    typical pair with the origin. Shifting makes the origin statistically
+    equivalent to any other point. Per-trial substreams make the tally
+    independent of execution order.
+    """
+    p = target.p
+    eps = 1.0 / n if epsilon is None else float(epsilon)
+    cap = MAX_CODEWORDS if max_codewords is None else int(max_codewords)
+    if p**k > cap:
+        raise TooLargeError(f"{p**k} codewords exceed the cap {cap}")
+    failures = 0
+    for t in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
+        code = draw_full_rank(rng, k, n, p)
+        shift = rng.integers(0, p, size=n, dtype=np.int64)
+        diffs = (-(enumerate_codewords(code, max_codewords=cap) + shift)) % p
+        dev = np.abs(-log2_likelihoods(diffs, target) / n - target.entropy_bits)
+        if not bool((dev <= eps).any()):
+            failures += 1
+    return MatchabilityEstimate(
+        trials=trials,
+        failures=failures,
+        empirical_failure_rate=failures / trials,
+        chebyshev_bound=lemma1_bound(n, rate(k, n, p), p, target.entropy_bits, eps),
+    )

@@ -1,0 +1,426 @@
+"""Command line front end.
+
+Subcommands: analyze, search, sweep-rate, reproduce, bounds, continuous.
+Outputs land in --out-dir as JSON and CSV files with stable bytes: the same
+command with the same seed writes identical files. Exit codes: 0 success,
+2 invalid usage or configuration, 3 enumeration cap exceeded.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import os
+from pathlib import Path
+
+import numpy as np
+
+from . import io
+from .analysis import analyze_region, estimate_match_probability, lemma1_bound
+from .cases import BuiltinCase, builtin_cases, continuous_builtins
+from .codes import rate, sample_generator, select_k
+from .continuous import build_continuous, continuous_divergence
+from .distributions import (
+    ContinuousTarget,
+    DiscreteTarget,
+    TypicalityParams,
+    alpha,
+)
+from .errors import LqnError, TooLargeError
+from .partition import build_ml_partition, build_typicality_partition
+
+_BUILDERS = {"ml": build_ml_partition, "typicality": build_typicality_partition}
+
+
+def _max_points(args) -> int | None:
+    if getattr(args, "max_points", None) is not None:
+        return args.max_points
+    env = os.environ.get("LQN_MAX_POINTS")
+    return int(env) if env else None
+
+
+def _typ_params(n: int, args) -> TypicalityParams:
+    eps = getattr(args, "epsilon_override", None)
+    if eps is None:
+        return TypicalityParams.default(n)
+    return TypicalityParams(n=n, epsilon=float(eps))
+
+
+def _resolve_discrete(args) -> tuple[DiscreteTarget, int, int, BuiltinCase | None]:
+    """Target, modulus, and block length from --dist/--n."""
+    cases = builtin_cases()
+    if args.dist in cases:
+        case = cases[args.dist]
+        n = args.n if getattr(args, "n", None) else case.n
+        return case.target, case.p, n, case
+    target = io.load_distribution_file(args.dist)
+    if not isinstance(target, DiscreteTarget):
+        raise LqnError("this command needs a discrete target")
+    if not getattr(args, "n", None):
+        raise LqnError("--n is required for file targets")
+    return target, target.p, args.n, None
+
+
+def _pick_k(args, case, target, n) -> int:
+    if getattr(args, "k", None):
+        return args.k
+    if case is not None and len(case.k_values) == 1:
+        return case.default_k
+    return select_k(target.p, n, target, "closest")
+
+
+def _build_one(seed, trial, k, n, target, criterion, tp, max_points):
+    code = sample_generator((seed, trial), k, n, target.p)
+    region = _BUILDERS[criterion](code, target, tp=tp, max_points=max_points)
+    return code, region
+
+
+def _emit_bundle(out_dir: Path, report, region, provenance: dict) -> None:
+    io.write_json(out_dir / "report.json", io.report_payload(report, provenance))
+    io.write_marginals_csv(out_dir / "marginals.csv", report.marginal_distributions)
+    io.write_region_csv(out_dir / "region.csv", region)
+
+
+def _search(target, n, k, criterion, tp, seed, trials, direction, max_points):
+    """Best-of-trials region; ties keep the earliest trial."""
+    better = (lambda a, b: a < b) if direction == "minimize" else (lambda a, b: a > b)
+    best = None
+    rows = []
+    for t in range(trials):
+        _, region = _build_one(seed, t, k, n, target, criterion, tp, max_points)
+        report = analyze_region(region, target)
+        rows.append((t, report.D_total_bits))
+        if best is None or better(report.D_total_bits, best[2].D_total_bits):
+            best = (t, region, report)
+    return best, rows
+
+
+def cmd_analyze(args) -> int:
+    target, p, n, case = _resolve_discrete(args)
+    k = _pick_k(args, case, target, n)
+    tp = _typ_params(n, args)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _, region = _build_one(args.seed, 0, k, n, target, args.criterion, tp, _max_points(args))
+    report = analyze_region(region, target)
+    prov = {
+        "dist": args.dist,
+        "seed": args.seed,
+        "trial": 0,
+        "p": p,
+        "n": n,
+        "k": k,
+        "criterion": args.criterion,
+        "epsilon": tp.epsilon,
+    }
+    _emit_bundle(out, report, region, prov)
+    print(f"D_per_dim={report.D_per_dim!r} bits, wrote {out / 'report.json'}")
+    return 0
+
+
+def cmd_search(args) -> int:
+    target, p, n, case = _resolve_discrete(args)
+    k = _pick_k(args, case, target, n)
+    tp = _typ_params(n, args)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (t, region, report), rows = _search(
+        target, n, k, args.criterion, tp, args.seed, args.trials,
+        args.direction, _max_points(args),
+    )
+    prov = {
+        "dist": args.dist,
+        "seed": args.seed,
+        "trial": t,
+        "p": p,
+        "n": n,
+        "k": k,
+        "criterion": args.criterion,
+        "epsilon": tp.epsilon,
+        "direction": args.direction,
+        "trials": args.trials,
+    }
+    _emit_bundle(out, report, region, prov)
+    io.write_trials_csv(out / "trials.csv", rows)
+    print(f"best trial {t}: D_total={report.D_total_bits!r} bits")
+    return 0
+
+
+def _parse_k_range(text: str, n: int) -> list[int]:
+    if ":" in text:
+        lo, hi = text.split(":", 1)
+        ks = list(range(int(lo), int(hi) + 1))
+    else:
+        ks = [int(text)]
+    if not ks or ks[0] < 1 or ks[-1] >= n:
+        raise LqnError(f"k range {text!r} leaves [1, {n - 1}]")
+    return ks
+
+
+def _sweep(target, n, ks, criterion, tp, seed, trials, max_points):
+    rows = []
+    per_k = {}
+    for k in ks:
+        best, trial_rows = _search(
+            target, n, k, criterion, tp, seed, trials, "minimize", max_points
+        )
+        rows.append((k, rate(k, n, target.p), best[2].D_total_bits / n))
+        per_k[k] = (best, trial_rows)
+    return rows, per_k
+
+
+def cmd_sweep_rate(args) -> int:
+    target, p, n, case = _resolve_discrete(args)
+    ks = _parse_k_range(args.k_range, n)
+    tp = _typ_params(n, args)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rows, _ = _sweep(
+        target, n, ks, args.criterion, tp, args.seed, args.trials, _max_points(args)
+    )
+    io.write_sweep_csv(out / "sweep.csv", rows)
+    argmin_k = min(rows, key=lambda r: (r[2], r[0]))[0]
+    predicted = select_k(p, n, target, "closest")
+    io.write_json(
+        out / "sweep.json",
+        {
+            "kind": "sweep",
+            "dist": args.dist,
+            "seed": args.seed,
+            "trials": args.trials,
+            "rows": [list(r) for r in rows],
+            "argmin_k": argmin_k,
+            "predicted_k_closest": predicted,
+        },
+    )
+    print(f"argmin k = {argmin_k}, predicted (closest rate) k = {predicted}")
+    return 0
+
+
+def cmd_reproduce(args) -> int:
+    case = builtin_cases()[args.case]
+    target, p, n = case.target, case.p, case.n
+    seed = case.seed if args.seed is None else args.seed
+    trials = args.trials if args.trials else case.trials
+    tp = TypicalityParams.default(n)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    max_points = _max_points(args)
+    if len(case.k_values) > 1:
+        rows, per_k = _sweep(
+            target, n, list(case.k_values), case.criterion, tp, seed, trials, max_points
+        )
+        io.write_sweep_csv(out / "sweep.csv", rows)
+        argmin_k = min(rows, key=lambda r: (r[2], r[0]))[0]
+        io.write_json(
+            out / "sweep.json",
+            {
+                "kind": "sweep",
+                "dist": args.case,
+                "seed": seed,
+                "trials": trials,
+                "rows": [list(r) for r in rows],
+                "argmin_k": argmin_k,
+                "predicted_k_closest": select_k(p, n, target, "closest"),
+            },
+        )
+        (t, region, report), trial_rows = per_k[argmin_k]
+        k = argmin_k
+    else:
+        k = case.default_k
+        (t, region, report), trial_rows = _search(
+            target, n, k, case.criterion, tp, seed, trials, "minimize", max_points
+        )
+    prov = {
+        "dist": args.case,
+        "seed": seed,
+        "trial": t,
+        "p": p,
+        "n": n,
+        "k": k,
+        "criterion": case.criterion,
+        "epsilon": tp.epsilon,
+        "direction": "minimize",
+        "trials": trials,
+    }
+    _emit_bundle(out, report, region, prov)
+    io.write_trials_csv(out / "trials.csv", trial_rows)
+    print(f"{args.case}: k={k}, best trial {t}, D_per_dim={report.D_per_dim!r} bits")
+    return 0
+
+
+def cmd_bounds(args) -> int:
+    target, p, n, case = _resolve_discrete(args)
+    k = args.k if args.k else select_k(p, n, target, "theorem")
+    tp = _typ_params(n, args)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _, region = _build_one(args.seed, 0, k, n, target, "typicality", tp, _max_points(args))
+    report = analyze_region(region, target)
+    payload = {
+        "kind": "bounds",
+        "dist": args.dist,
+        "seed": args.seed,
+        "p": p,
+        "n": n,
+        "k": k,
+        "rate_bits": rate(k, n, p),
+        "epsilon": tp.epsilon,
+        "entropy_bits": target.entropy_bits,
+        "alpha": alpha(target),
+        "lemma1_bound": lemma1_bound(n, rate(k, n, p), p, target.entropy_bits, tp.epsilon),
+        "bad_fraction": report.bad_fraction,
+        "eps_star": report.eps_star,
+        "D_per_dim": report.D_per_dim,
+        "bound_satisfied": report.bound_satisfied,
+        "estimate": None,
+    }
+    if args.estimate:
+        est = estimate_match_probability(
+            target, n, k, args.trials, args.seed, epsilon=tp.epsilon
+        )
+        payload["estimate"] = {
+            "trials": est.trials,
+            "failures": est.failures,
+            "empirical_failure_rate": est.empirical_failure_rate,
+            "chebyshev_bound": est.chebyshev_bound,
+        }
+    io.write_json(out / "bounds.json", payload)
+    print(f"eps_star={payload['eps_star']!r}, lemma1_bound={payload['lemma1_bound']!r}")
+    return 0
+
+
+def cmd_continuous(args) -> int:
+    builtins = continuous_builtins()
+    if args.dist in builtins:
+        target = builtins[args.dist]
+    else:
+        target = io.load_distribution_file(args.dist)
+        if not isinstance(target, ContinuousTarget):
+            raise LqnError("this command needs a continuous target")
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    n = args.n
+    if args.k:
+        k = args.k
+    else:
+        from .continuous import bin_pdf, choose_delta, fold_density
+
+        binned = bin_pdf(fold_density(target), args.p, choose_delta(target, args.p))
+        k = select_k(args.p, n, binned, "closest")
+    tp = _typ_params(n, args)
+    cc = build_continuous(
+        target, args.p, n, k, (args.seed, 0),
+        criterion=args.criterion, tp=tp, max_points=_max_points(args),
+    )
+    rep = continuous_divergence(cc)
+    io.write_json(
+        out / "continuous_report.json",
+        {
+            "kind": "continuous",
+            "dist": args.dist,
+            "seed": args.seed,
+            "p": args.p,
+            "n": n,
+            "k": k,
+            "criterion": args.criterion,
+            "delta": rep.delta,
+            "eta": rep.eta,
+            "r": rep.r,
+            "spread_penalty_bits": rep.spread_penalty_bits,
+            "D_total_bits": rep.D_total_bits,
+            "D_per_dim": rep.D_per_dim,
+            "bad_fraction": rep.bad_fraction,
+            "epsilon": rep.epsilon,
+            "eps_star": rep.eps_star,
+            "bound_per_dim": rep.bound_per_dim,
+            "bound_satisfied": rep.bound_satisfied,
+            "binned_probs": cc.binned.probs,
+        },
+    )
+    io.write_region_csv(out / "region.csv", cc.region)
+    print(f"D_per_dim={rep.D_per_dim!r} bits, bound={rep.bound_per_dim!r}")
+    return 0
+
+
+def _add_common(sp, *, dist=True, seed_default=0):
+    if dist:
+        sp.add_argument("--dist", required=True, help="builtin name or JSON path")
+    sp.add_argument("--seed", type=int, default=seed_default)
+    sp.add_argument("--out-dir", default=".")
+    sp.add_argument("--epsilon-override", type=float, default=None)
+    sp.add_argument("--max-points", type=int, default=None)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="lqn",
+        description="Lattice partitions with shaped quantization noise",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    sp = sub.add_parser("analyze", help="one code, one region, full report")
+    _add_common(sp)
+    sp.add_argument("--n", type=int, default=None)
+    sp.add_argument("--k", type=int, default=None)
+    sp.add_argument("--criterion", choices=("ml", "typicality"), default="ml")
+    sp.set_defaults(func=cmd_analyze)
+
+    sp = sub.add_parser("search", help="best region over seeded random codes")
+    _add_common(sp)
+    sp.add_argument("--n", type=int, default=None)
+    sp.add_argument("--k", type=int, default=None)
+    sp.add_argument("--criterion", choices=("ml", "typicality"), default="ml")
+    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--direction", choices=("minimize", "maximize"), default="minimize")
+    sp.set_defaults(func=cmd_search)
+
+    sp = sub.add_parser("sweep-rate", help="best divergence per code dimension")
+    _add_common(sp)
+    sp.add_argument("--n", type=int, default=None)
+    sp.add_argument("--k-range", required=True, help="inclusive range a:b or one k")
+    sp.add_argument("--criterion", choices=("ml", "typicality"), default="ml")
+    sp.add_argument("--trials", type=int, default=20)
+    sp.set_defaults(func=cmd_sweep_rate)
+
+    sp = sub.add_parser("reproduce", help="run a bundled case end to end")
+    sp.add_argument("--case", required=True, choices=("w1", "w2", "w3", "w4"))
+    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--trials", type=int, default=None)
+    sp.add_argument("--out-dir", default=".")
+    sp.add_argument("--max-points", type=int, default=None)
+    sp.set_defaults(func=cmd_reproduce)
+
+    sp = sub.add_parser("bounds", help="closed-form bounds and optional estimate")
+    _add_common(sp)
+    sp.add_argument("--n", type=int, default=None)
+    sp.add_argument("--k", type=int, default=None)
+    sp.add_argument("--estimate", action="store_true")
+    sp.add_argument("--trials", type=int, default=200)
+    sp.set_defaults(func=cmd_bounds)
+
+    sp = sub.add_parser("continuous", help="interval target: fold, bin, build, bound")
+    _add_common(sp)
+    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--k", type=int, default=None)
+    sp.add_argument("--criterion", choices=("ml", "typicality"), default="typicality")
+    sp.set_defaults(func=cmd_continuous)
+
+    return ap
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except TooLargeError as err:
+        print(f"error: {err}")
+        return 3
+    except (LqnError, ValueError, OSError) as err:
+        print(f"error: {err}")
+        return 2
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,0 +1,189 @@
+"""Target noise distributions and weak typicality.
+
+Discrete targets are pmfs on Z_p; continuous targets are piecewise-linear
+densities on a symmetric interval [-A, A], strictly positive there and zero
+outside. All logs are base 2.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+from .errors import (
+    DimensionMismatchError,
+    NotNormalizedError,
+    NotPermissibleError,
+)
+from .zplinalg import ensure_prime, mod_reduce
+
+SUM_TOL = 1e-9
+INTEGRAL_TOL = 1e-6
+
+
+@dataclass(frozen=True, eq=False)
+class DiscreteTarget:
+    """A validated pmf on Z_p with cached entropy and smallest mass."""
+
+    p: int
+    probs: np.ndarray
+    log2_probs: np.ndarray
+    entropy_bits: float
+    a_min: float
+    a_max: float
+
+
+def validate_discrete(probs, p: int) -> DiscreteTarget:
+    """Check length, positivity, and normalization; cache derived quantities.
+
+    Entropy is accumulated per symbol in index order so repeated runs produce
+    bit-identical values.
+    """
+    p = ensure_prime(p)
+    arr = np.asarray(probs, dtype=np.float64)
+    if arr.ndim != 1 or arr.size != p:
+        raise DimensionMismatchError(f"expected {p} masses, got shape {arr.shape}")
+    if not np.all(arr > 0.0):
+        raise NotPermissibleError("every mass must be strictly positive")
+    total = math.fsum(arr.tolist())
+    if abs(total - 1.0) > SUM_TOL:
+        raise NotNormalizedError(f"masses sum to {total!r}")
+    arr = arr.copy()
+    arr.setflags(write=False)
+    log2p = np.log2(arr)
+    log2p.setflags(write=False)
+    h = 0.0
+    for q, lq in zip(arr.tolist(), log2p.tolist()):
+        h -= q * lq
+    return DiscreteTarget(
+        p=p,
+        probs=arr,
+        log2_probs=log2p,
+        entropy_bits=h,
+        a_min=float(arr.min()),
+        a_max=float(arr.max()),
+    )
+
+
+def uniform_target(p: int) -> DiscreteTarget:
+    return validate_discrete(np.full(p, 1.0 / p), p)
+
+
+def entropy_bits(target: DiscreteTarget) -> float:
+    return target.entropy_bits
+
+
+def alpha(target: DiscreteTarget) -> float:
+    """Gap -log2(a_min) - H, never negative (clamped against float dust)."""
+    val = -math.log2(target.a_min) - target.entropy_bits
+    if -1e-12 < val < 0.0:
+        return 0.0
+    return val
+
+
+@dataclass(frozen=True)
+class TypicalityParams:
+    """Block length and slack for the weak-typicality test."""
+
+    n: int
+    epsilon: float
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise DimensionMismatchError("block length must be at least 1")
+        if self.epsilon <= 0.0:
+            raise ValueError("epsilon must be positive")
+
+    @classmethod
+    def default(cls, n: int) -> "TypicalityParams":
+        """The hard default slack 1/n."""
+        return cls(n=n, epsilon=1.0 / n)
+
+
+def log2_likelihoods(vectors, target: DiscreteTarget) -> np.ndarray:
+    """Sum of per-symbol log2 masses along the last axis.
+
+    Shared by the typicality test, the partition builders, and the divergence
+    report, so all of them agree bit for bit on boundary cases.
+    """
+    return target.log2_probs[np.asarray(vectors, dtype=np.int64)].sum(axis=-1)
+
+
+def is_typical(x, target: DiscreteTarget, tp: TypicalityParams) -> bool:
+    """Weak typicality: |empirical surprisal per symbol - H| <= epsilon, inclusive."""
+    x = mod_reduce(x, target.p)
+    if x.ndim != 1 or x.size != tp.n:
+        raise DimensionMismatchError(f"expected a length-{tp.n} vector, got {x.shape}")
+    dev = abs(-float(log2_likelihoods(x, target)) / tp.n - target.entropy_bits)
+    return dev <= tp.epsilon
+
+
+def typical_pair(x, y, target: DiscreteTarget, tp: TypicalityParams) -> bool:
+    """Pair typicality of (x, y): the wrapped difference (y - x) mod p is typical."""
+    x = np.asarray(x, dtype=np.int64)
+    y = np.asarray(y, dtype=np.int64)
+    if x.shape != y.shape:
+        raise DimensionMismatchError(f"shape mismatch {x.shape} vs {y.shape}")
+    return is_typical((y - x) % target.p, target, tp)
+
+
+@dataclass(frozen=True, eq=False)
+class ContinuousTarget:
+    """Piecewise-linear density on [-A, A], strictly positive, zero outside."""
+
+    half_width: float
+    knots: tuple[tuple[float, float], ...]
+    a_min: float
+    a_max: float
+
+
+def _knot_mass(knots: tuple[tuple[float, float], ...]) -> Fraction:
+    """Exact trapezoid integral of the polyline, in rational arithmetic."""
+    total = Fraction(0)
+    for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
+        total += (Fraction(y0) + Fraction(y1)) * (Fraction(x1) - Fraction(x0)) / 2
+    return total
+
+
+def validate_continuous(half_width: float, knots) -> ContinuousTarget:
+    """Check the knot list spans [-A, A], stays positive, and integrates to one."""
+    a = float(half_width)
+    if a <= 0.0:
+        raise NotPermissibleError("half width must be positive")
+    pts = tuple((float(x), float(f)) for x, f in knots)
+    if len(pts) < 2:
+        raise DimensionMismatchError("need at least two knots")
+    xs = [x for x, _ in pts]
+    if any(x1 <= x0 for x0, x1 in zip(xs, xs[1:])):
+        raise DimensionMismatchError("knot positions must be strictly increasing")
+    if xs[0] != -a or xs[-1] != a:
+        raise DimensionMismatchError("knots must span exactly [-A, A]")
+    vals = [f for _, f in pts]
+    if min(vals) <= 0.0:
+        raise NotPermissibleError("density must be strictly positive on [-A, A]")
+    mass = _knot_mass(pts)
+    if abs(float(mass) - 1.0) > INTEGRAL_TOL:
+        raise NotNormalizedError(f"density integrates to {float(mass)!r}")
+    return ContinuousTarget(
+        half_width=a,
+        knots=pts,
+        a_min=float(min(vals)),
+        a_max=float(max(vals)),
+    )
+
+
+def parse_distribution(obj: dict):
+    """Decode the serialized form of a target distribution.
+
+    Discrete: {"type": "discrete", "p": int, "probs": [...]}.
+    Continuous: {"type": "continuous", "A": real, "knots": [[x, f], ...]}.
+    """
+    kind = obj.get("type")
+    if kind == "discrete":
+        return validate_discrete(obj["probs"], obj["p"])
+    if kind == "continuous":
+        return validate_continuous(obj["A"], obj["knots"])
+    raise DimensionMismatchError(f"unknown distribution type {kind!r}")

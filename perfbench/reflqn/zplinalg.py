@@ -1,0 +1,112 @@
+"""Exact linear algebra over the prime field Z_p.
+
+Everything here works on integer numpy arrays and keeps all arithmetic
+exact: reductions, row echelon forms, parity checks. No floating point.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import DimensionMismatchError, RankDeficientError
+
+
+def is_prime(p: int) -> bool:
+    """Trial-division primality test."""
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def ensure_prime(p: int) -> int:
+    p = int(p)
+    if not is_prime(p):
+        raise ValueError(f"modulus must be prime, got {p}")
+    return p
+
+
+def mod_reduce(v, p: int) -> np.ndarray:
+    """Reduce components into the canonical range [0, p-1] (negatives wrap up)."""
+    return np.asarray(v, dtype=np.int64) % p
+
+
+@dataclass(frozen=True)
+class RrefResult:
+    matrix: np.ndarray
+    rank: int
+    pivot_cols: tuple[int, ...]
+
+
+def rref(m, p: int) -> RrefResult:
+    """Reduced row echelon form over Z_p.
+
+    Pivots are scaled to 1 and cleared above and below, columns scanned left
+    to right. Returns the canonical form, its rank, and the pivot columns.
+    """
+    a = mod_reduce(np.atleast_2d(m), p).copy()
+    rows, cols = a.shape
+    r = 0
+    pivots: list[int] = []
+    for c in range(cols):
+        if r == rows:
+            break
+        hits = np.nonzero(a[r:, c])[0]
+        if hits.size == 0:
+            continue
+        pr = r + int(hits[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        for i in range(rows):
+            if i != r and a[i, c]:
+                a[i] = (a[i] - a[i, c] * a[r]) % p
+        pivots.append(c)
+        r += 1
+    a.setflags(write=False)
+    return RrefResult(a, r, tuple(pivots))
+
+
+def parity_check(g, p: int) -> np.ndarray:
+    """(n-k) x n matrix whose kernel is exactly the row space of g.
+
+    Built from the reduced echelon form: each non-pivot column contributes one
+    row with a 1 in that column and the negated pivot-column coefficients.
+    The induced syndrome map separates the p**(n-k) cosets of the code.
+    """
+    g = mod_reduce(np.atleast_2d(g), p)
+    k, n = g.shape
+    red = rref(g, p)
+    if red.rank < k:
+        raise RankDeficientError(f"generator has rank {red.rank}, expected {k}")
+    piv = list(red.pivot_cols)
+    free = [c for c in range(n) if c not in set(piv)]
+    h = np.zeros((n - k, n), dtype=np.int64)
+    for i, c in enumerate(free):
+        h[i, c] = 1
+        h[i, piv] = (-red.matrix[:, c]) % p
+    h.setflags(write=False)
+    return h
+
+
+def mat_vec_mul(m, v, p: int) -> np.ndarray:
+    """Row vector times matrix, v.m mod p (the message-to-codeword map)."""
+    m = mod_reduce(np.atleast_2d(m), p)
+    v = mod_reduce(v, p)
+    if v.ndim != 1 or v.shape[0] != m.shape[0]:
+        raise DimensionMismatchError(
+            f"vector of length {v.shape} does not left-multiply {m.shape}"
+        )
+    return v @ m % p
+
+
+def syndromes(h, vecs, p: int) -> np.ndarray:
+    """Apply the parity map to one vector or a batch of row vectors."""
+    vecs = mod_reduce(vecs, p)
+    return vecs @ np.asarray(h, dtype=np.int64).T % p
