@@ -16,7 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .analysis import analyze_region, estimate_match_probability, lemma1_bound
+from .analysis import (
+    analyze_region,
+    estimate_match_probability,
+    kl_region_vs_product,
+    lemma1_bound,
+)
 from .cases import BuiltinCase, builtin_cases, continuous_builtins
 from .codes import rate, sample_generator, select_k
 from .continuous import build_continuous, continuous_divergence
@@ -61,9 +66,21 @@ def _resolve_discrete(args) -> tuple[DiscreteTarget, int, int, BuiltinCase | Non
     return target, target.p, args.n, None
 
 
+def _at_least_one(flag: str, value: int) -> int:
+    if value < 1:
+        raise LqnError(f"{flag} must be at least 1, got {value}")
+    return value
+
+
+def _check_k(k: int, n: int) -> int:
+    if not 0 < k < n:
+        raise LqnError(f"--k must lie in [1, {n - 1}], got {k}")
+    return k
+
+
 def _pick_k(args, case, target, n) -> int:
-    if getattr(args, "k", None):
-        return args.k
+    if getattr(args, "k", None) is not None:
+        return _check_k(args.k, n)
     if case is not None and len(case.k_values) == 1:
         return case.default_k
     return select_k(target.p, n, target, "closest")
@@ -71,8 +88,7 @@ def _pick_k(args, case, target, n) -> int:
 
 def _build_one(seed, trial, k, n, target, criterion, tp, max_points):
     code = sample_generator((seed, trial), k, n, target.p)
-    region = _BUILDERS[criterion](code, target, tp=tp, max_points=max_points)
-    return code, region
+    return _BUILDERS[criterion](code, target, tp=tp, max_points=max_points)
 
 
 def _emit_bundle(out_dir: Path, report, region, provenance: dict) -> None:
@@ -81,17 +97,35 @@ def _emit_bundle(out_dir: Path, report, region, provenance: dict) -> None:
     io.write_region_csv(out_dir / "region.csv", region)
 
 
+def _provenance(args, trial, p, n, k, tp) -> dict:
+    """What rebuilds the emitted region of analyze and search."""
+    return {
+        "dist": args.dist,
+        "seed": args.seed,
+        "trial": trial,
+        "p": p,
+        "n": n,
+        "k": k,
+        "criterion": args.criterion,
+        "epsilon": tp.epsilon,
+    }
+
+
 def _search(target, n, k, criterion, tp, seed, trials, direction, max_points):
-    """Best-of-trials region; ties keep the earliest trial."""
+    """Best-of-trials (trial, region, D_total_bits); ties keep the earliest trial.
+
+    Trials are ranked by kl_region_vs_product, the D_total_bits that
+    analyze_region reports, so callers analyze only the winning region.
+    """
     better = (lambda a, b: a < b) if direction == "minimize" else (lambda a, b: a > b)
     best = None
     rows = []
     for t in range(trials):
-        _, region = _build_one(seed, t, k, n, target, criterion, tp, max_points)
-        report = analyze_region(region, target)
-        rows.append((t, report.D_total_bits))
-        if best is None or better(report.D_total_bits, best[2].D_total_bits):
-            best = (t, region, report)
+        region = _build_one(seed, t, k, n, target, criterion, tp, max_points)
+        d = kl_region_vs_product(region, target)
+        rows.append((t, d))
+        if best is None or better(d, best[2]):
+            best = (t, region, d)
     return best, rows
 
 
@@ -101,19 +135,9 @@ def cmd_analyze(args) -> int:
     tp = _typ_params(n, args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, region = _build_one(args.seed, 0, k, n, target, args.criterion, tp, _max_points(args))
+    region = _build_one(args.seed, 0, k, n, target, args.criterion, tp, _max_points(args))
     report = analyze_region(region, target)
-    prov = {
-        "dist": args.dist,
-        "seed": args.seed,
-        "trial": 0,
-        "p": p,
-        "n": n,
-        "k": k,
-        "criterion": args.criterion,
-        "epsilon": tp.epsilon,
-    }
-    _emit_bundle(out, report, region, prov)
+    _emit_bundle(out, report, region, _provenance(args, 0, p, n, k, tp))
     print(f"D_per_dim={report.D_per_dim!r} bits, wrote {out / 'report.json'}")
     return 0
 
@@ -121,25 +145,17 @@ def cmd_analyze(args) -> int:
 def cmd_search(args) -> int:
     target, p, n, case = _resolve_discrete(args)
     k = _pick_k(args, case, target, n)
+    _at_least_one("--trials", args.trials)
     tp = _typ_params(n, args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (t, region, report), rows = _search(
+    (t, region, _), rows = _search(
         target, n, k, args.criterion, tp, args.seed, args.trials,
         args.direction, _max_points(args),
     )
-    prov = {
-        "dist": args.dist,
-        "seed": args.seed,
-        "trial": t,
-        "p": p,
-        "n": n,
-        "k": k,
-        "criterion": args.criterion,
-        "epsilon": tp.epsilon,
-        "direction": args.direction,
-        "trials": args.trials,
-    }
+    report = analyze_region(region, target)
+    prov = _provenance(args, t, p, n, k, tp)
+    prov.update(direction=args.direction, trials=args.trials)
     _emit_bundle(out, report, region, prov)
     io.write_trials_csv(out / "trials.csv", rows)
     print(f"best trial {t}: D_total={report.D_total_bits!r} bits")
@@ -164,35 +180,42 @@ def _sweep(target, n, ks, criterion, tp, seed, trials, max_points):
         best, trial_rows = _search(
             target, n, k, criterion, tp, seed, trials, "minimize", max_points
         )
-        rows.append((k, rate(k, n, target.p), best[2].D_total_bits / n))
+        rows.append((k, rate(k, n, target.p), best[2] / n))
         per_k[k] = (best, trial_rows)
     return rows, per_k
+
+
+def _emit_sweep(out: Path, dist, seed, trials, rows, target, n) -> tuple[int, int]:
+    """sweep.csv and sweep.json; returns the argmin k and the closest-rate k."""
+    io.write_sweep_csv(out / "sweep.csv", rows)
+    argmin_k = min(rows, key=lambda r: (r[2], r[0]))[0]
+    predicted = select_k(target.p, n, target, "closest")
+    io.write_json(
+        out / "sweep.json",
+        {
+            "kind": "sweep",
+            "dist": dist,
+            "seed": seed,
+            "trials": trials,
+            "rows": [list(r) for r in rows],
+            "argmin_k": argmin_k,
+            "predicted_k_closest": predicted,
+        },
+    )
+    return argmin_k, predicted
 
 
 def cmd_sweep_rate(args) -> int:
     target, p, n, case = _resolve_discrete(args)
     ks = _parse_k_range(args.k_range, n)
+    _at_least_one("--trials", args.trials)
     tp = _typ_params(n, args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows, _ = _sweep(
         target, n, ks, args.criterion, tp, args.seed, args.trials, _max_points(args)
     )
-    io.write_sweep_csv(out / "sweep.csv", rows)
-    argmin_k = min(rows, key=lambda r: (r[2], r[0]))[0]
-    predicted = select_k(p, n, target, "closest")
-    io.write_json(
-        out / "sweep.json",
-        {
-            "kind": "sweep",
-            "dist": args.dist,
-            "seed": args.seed,
-            "trials": args.trials,
-            "rows": [list(r) for r in rows],
-            "argmin_k": argmin_k,
-            "predicted_k_closest": predicted,
-        },
-    )
+    argmin_k, predicted = _emit_sweep(out, args.dist, args.seed, args.trials, rows, target, n)
     print(f"argmin k = {argmin_k}, predicted (closest rate) k = {predicted}")
     return 0
 
@@ -201,7 +224,7 @@ def cmd_reproduce(args) -> int:
     case = builtin_cases()[args.case]
     target, p, n = case.target, case.p, case.n
     seed = case.seed if args.seed is None else args.seed
-    trials = args.trials if args.trials else case.trials
+    trials = case.trials if args.trials is None else _at_least_one("--trials", args.trials)
     tp = TypicalityParams.default(n)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -210,27 +233,14 @@ def cmd_reproduce(args) -> int:
         rows, per_k = _sweep(
             target, n, list(case.k_values), case.criterion, tp, seed, trials, max_points
         )
-        io.write_sweep_csv(out / "sweep.csv", rows)
-        argmin_k = min(rows, key=lambda r: (r[2], r[0]))[0]
-        io.write_json(
-            out / "sweep.json",
-            {
-                "kind": "sweep",
-                "dist": args.case,
-                "seed": seed,
-                "trials": trials,
-                "rows": [list(r) for r in rows],
-                "argmin_k": argmin_k,
-                "predicted_k_closest": select_k(p, n, target, "closest"),
-            },
-        )
-        (t, region, report), trial_rows = per_k[argmin_k]
-        k = argmin_k
+        k, _ = _emit_sweep(out, args.case, seed, trials, rows, target, n)
+        (t, region, _), trial_rows = per_k[k]
     else:
         k = case.default_k
-        (t, region, report), trial_rows = _search(
+        (t, region, _), trial_rows = _search(
             target, n, k, case.criterion, tp, seed, trials, "minimize", max_points
         )
+    report = analyze_region(region, target)
     prov = {
         "dist": args.case,
         "seed": seed,
@@ -251,11 +261,12 @@ def cmd_reproduce(args) -> int:
 
 def cmd_bounds(args) -> int:
     target, p, n, case = _resolve_discrete(args)
-    k = args.k if args.k else select_k(p, n, target, "theorem")
+    k = select_k(p, n, target, "theorem") if args.k is None else _check_k(args.k, n)
+    _at_least_one("--trials", args.trials)
     tp = _typ_params(n, args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, region = _build_one(args.seed, 0, k, n, target, "typicality", tp, _max_points(args))
+    region = _build_one(args.seed, 0, k, n, target, "typicality", tp, _max_points(args))
     report = analyze_region(region, target)
     payload = {
         "kind": "bounds",
@@ -298,17 +309,17 @@ def cmd_continuous(args) -> int:
         target = io.load_distribution_file(args.dist)
         if not isinstance(target, ContinuousTarget):
             raise LqnError("this command needs a continuous target")
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     n = args.n
-    if args.k:
-        k = args.k
+    if args.k is not None:
+        k = _check_k(args.k, n)
     else:
         from .continuous import bin_pdf, choose_delta, fold_density
 
         binned = bin_pdf(fold_density(target), args.p, choose_delta(target, args.p))
         k = select_k(args.p, n, binned, "closest")
     tp = _typ_params(n, args)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     cc = build_continuous(
         target, args.p, n, k, (args.seed, 0),
         criterion=args.criterion, tp=tp, max_points=_max_points(args),
@@ -343,13 +354,19 @@ def cmd_continuous(args) -> int:
     return 0
 
 
-def _add_common(sp, *, dist=True, seed_default=0):
-    if dist:
-        sp.add_argument("--dist", required=True, help="builtin name or JSON path")
-    sp.add_argument("--seed", type=int, default=seed_default)
+def _add_common(sp, func, *, k=True, criterion="ml", n_required=False):
+    """Options shared by the commands that take a --dist target."""
+    sp.add_argument("--dist", required=True, help="builtin name or JSON path")
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out-dir", default=".")
     sp.add_argument("--epsilon-override", type=float, default=None)
     sp.add_argument("--max-points", type=int, default=None)
+    sp.add_argument("--n", type=int, required=n_required, default=None)
+    if k:
+        sp.add_argument("--k", type=int, default=None)
+    if criterion:
+        sp.add_argument("--criterion", choices=("ml", "typicality"), default=criterion)
+    sp.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,28 +377,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("analyze", help="one code, one region, full report")
-    _add_common(sp)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--criterion", choices=("ml", "typicality"), default="ml")
-    sp.set_defaults(func=cmd_analyze)
+    _add_common(sp, cmd_analyze)
 
     sp = sub.add_parser("search", help="best region over seeded random codes")
-    _add_common(sp)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--criterion", choices=("ml", "typicality"), default="ml")
+    _add_common(sp, cmd_search)
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--direction", choices=("minimize", "maximize"), default="minimize")
-    sp.set_defaults(func=cmd_search)
 
     sp = sub.add_parser("sweep-rate", help="best divergence per code dimension")
-    _add_common(sp)
-    sp.add_argument("--n", type=int, default=None)
+    _add_common(sp, cmd_sweep_rate, k=False)
     sp.add_argument("--k-range", required=True, help="inclusive range a:b or one k")
-    sp.add_argument("--criterion", choices=("ml", "typicality"), default="ml")
     sp.add_argument("--trials", type=int, default=20)
-    sp.set_defaults(func=cmd_sweep_rate)
 
     sp = sub.add_parser("reproduce", help="run a bundled case end to end")
     sp.add_argument("--case", required=True, choices=("w1", "w2", "w3", "w4"))
@@ -392,20 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_reproduce)
 
     sp = sub.add_parser("bounds", help="closed-form bounds and optional estimate")
-    _add_common(sp)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
+    _add_common(sp, cmd_bounds, criterion=None)
     sp.add_argument("--estimate", action="store_true")
     sp.add_argument("--trials", type=int, default=200)
-    sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("continuous", help="interval target: fold, bin, build, bound")
-    _add_common(sp)
+    _add_common(sp, cmd_continuous, criterion="typicality", n_required=True)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--criterion", choices=("ml", "typicality"), default="typicality")
-    sp.set_defaults(func=cmd_continuous)
 
     return ap
 

@@ -8,23 +8,27 @@ whenever there is one makes the result canonical and never increases the
 count of bad cosets. The maximum-likelihood rule takes the member with the
 largest product mass under the target, ties broken lexicographically.
 
-Cosets are processed in blocks of the vectorized member table; the outcome
-is identical to a sequential pass in syndrome order because each coset's
-choice depends only on its own members.
+Both rules read one table of log2-likelihoods over all of Z_p^n, computed
+once per (target, n) by log2_likelihoods itself and kept for the next code,
+so float ties break exactly as a pass over member vectors would. With the
+code in systematic form, the member of coset s with pivot part u has free
+part s + u.A, where A = (-H[:, pivots])^T mod p comes from the parity check
+H. The lexicographic encodings of all members form one (p^k, p^(n-k))
+array, message by syndrome; the table is gathered through it once and each
+rule reduces over the message axis.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import MAX_POINTS, LinearCode, enumerate_codewords
+from .codes import MAX_POINTS, LinearCode
 from .distributions import DiscreteTarget, TypicalityParams, log2_likelihoods
 from .errors import TooLargeError
 from .zplinalg import mod_reduce
-
-_BLOCK_ELEMS = 1 << 21
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,16 +67,42 @@ def coset_ids(code: LinearCode, ys) -> np.ndarray:
     return s @ pows
 
 
-def _coset_bases(code: LinearCode) -> np.ndarray:
-    """One member per coset in syndrome order: zeros on the pivot columns,
-    the syndrome digits on the free columns."""
-    m = code.n - code.k
-    digits = np.stack(
-        np.unravel_index(np.arange(code.num_cosets), (code.p,) * m), axis=1
-    ).astype(np.int64)
-    base = np.zeros((code.num_cosets, code.n), dtype=np.int64)
-    base[:, list(code.nonpivot_cols)] = digits
-    return base
+@functools.lru_cache(maxsize=1)
+def _likelihood_table(target: DiscreteTarget, n: int) -> np.ndarray:
+    """log2 P(x) for every x in Z_p^n, indexed by lexicographic encoding.
+
+    Computed by log2_likelihoods in blocks over the fewest leading coordinates
+    with p**lead >= n, so no block outgrows the table. Targets hash by identity.
+    """
+    p = target.p
+    lead = next(j for j in range(1, n + 1) if p**j >= n)
+    tail = np.indices((p,) * (n - lead)).reshape(n - lead, p ** (n - lead)).T
+    block = np.empty((tail.shape[0], n), dtype=np.int64)
+    block[:, lead:] = tail
+    table = np.empty((p**lead, tail.shape[0]))
+    for i, head in enumerate(np.ndindex((p,) * lead)):
+        block[:, :lead] = head
+        table[i] = log2_likelihoods(block, target)
+    table = table.ravel()
+    table.setflags(write=False)
+    return table
+
+
+def _member_encodings(code: LinearCode, pows: np.ndarray) -> np.ndarray:
+    """Lexicographic encoding of every point, message by syndrome.
+
+    Entry (u, s) is the member of coset s whose pivot coordinates are u; its
+    free coordinates are s + u.A mod p with A = (-H[:, pivots])^T.
+    """
+    p, k = code.p, code.k
+    piv = list(code.pivot_cols)
+    msgs = np.indices((p,) * k).reshape(k, p**k).T
+    shift = msgs @ (-code.parity[:, piv].T % p) % p
+    enc = (msgs @ pows[piv])[:, None]
+    for i, c in enumerate(code.nonpivot_cols):
+        digit = (np.arange(p) + shift[:, i, None]) % p
+        enc = (enc[:, :, None] + digit[:, None, :] * pows[c]).reshape(p**k, -1)
+    return enc
 
 
 def _build(
@@ -88,34 +118,20 @@ def _build(
         raise TooLargeError(f"{total} points exceed the cap {cap}")
     if target.p != code.p:
         raise ValueError("target modulus differs from code modulus")
-    p, n = code.p, code.n
-    words = enumerate_codewords(code)
-    bases = _coset_bases(code)
-    m = words.shape[0]
-    enc_pows = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    h_bits = target.entropy_bits
-    eps = tp.epsilon
-    reps = np.empty((code.num_cosets, n), dtype=np.int64)
-    good = np.empty(code.num_cosets, dtype=bool)
-    sentinel = np.iinfo(np.int64).max
-    rows = max(1, _BLOCK_ELEMS // m)
-    for a in range(0, code.num_cosets, rows):
-        b = min(a + rows, code.num_cosets)
-        members = (bases[a:b, None, :] + words[None, :, :]) % p
-        ll = log2_likelihoods(members, target)
-        enc = members @ enc_pows
-        if criterion == "ml":
-            top = ll.max(axis=1, keepdims=True)
-            pick = np.where(ll == top, enc, sentinel).argmin(axis=1)
-        else:
-            ok = np.abs(-ll / n - h_bits) <= eps
-            pick = np.where(ok, enc, sentinel).argmin(axis=1)
-            miss = ~ok.any(axis=1)
-            if miss.any():
-                pick[miss] = enc[miss].argmin(axis=1)
-        sel = np.arange(b - a)
-        reps[a:b] = members[sel, pick]
-        good[a:b] = np.abs(-ll[sel, pick] / n - h_bits) <= eps
+    n = code.n
+    table = _likelihood_table(target, n)
+    pows = code.p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    enc = _member_encodings(code, pows)
+    ll = table[enc]
+    h_bits, eps = target.entropy_bits, tp.epsilon
+    if criterion == "ml":
+        pick = enc.min(axis=0, where=ll == ll.max(axis=0), initial=total)
+    else:
+        typical = np.abs(-ll / n - h_bits) <= eps
+        pick = enc.min(axis=0, where=typical, initial=total)
+        pick = np.where(typical.any(axis=0), pick, enc.min(axis=0))
+    reps = pick[:, None] // pows % code.p
+    good = np.abs(-table[pick] / n - h_bits) <= eps
     reps.setflags(write=False)
     good.setflags(write=False)
     return FundamentalRegion(code, reps, good, criterion, eps)
@@ -170,11 +186,11 @@ class RegionCheck:
 def validate_region(
     region: FundamentalRegion, *, max_points: int | None = None
 ) -> RegionCheck:
-    """Exactly one representative per coset and an exact translate tiling.
+    """Exactly one representative per coset, hence an exact translate tiling.
 
-    Walks every translate of the cell by a codeword and counts how often each
-    point of Z_p^n is hit; the cell tiles iff every count is one. Also checks
-    the cell size p**(n-k) and that representative i really lies in coset i.
+    Checks the cell size p**(n-k) and that representative i lies in coset i.
+    A representative's codeword translates fill exactly its own coset, so the
+    two checks already prove that the cell's translates cover Z_p^n once.
     """
     code = region.code
     cap = MAX_POINTS if max_points is None else int(max_points)
@@ -189,20 +205,4 @@ def validate_region(
     if wrong.size:
         i = int(wrong[0])
         return RegionCheck(False, "representative in wrong coset", (i, tuple(region.reps[i])))
-    words = enumerate_codewords(code)
-    enc_pows = code.p ** np.arange(code.n - 1, -1, -1, dtype=np.int64)
-    counts = np.zeros(total, dtype=np.int32)
-    rows = max(1, _BLOCK_ELEMS // words.shape[0])
-    for a in range(0, expected, rows):
-        b = min(a + rows, expected)
-        trans = (region.reps[a:b, None, :] + words[None, :, :]) % code.p
-        np.add.at(counts, (trans @ enc_pows).ravel(), 1)
-    dup = np.nonzero(counts > 1)[0]
-    if dup.size:
-        point = np.unravel_index(int(dup[0]), (code.p,) * code.n)
-        return RegionCheck(False, "point covered more than once", tuple(int(c) for c in point))
-    missing = np.nonzero(counts == 0)[0]
-    if missing.size:
-        point = np.unravel_index(int(missing[0]), (code.p,) * code.n)
-        return RegionCheck(False, "point not covered", tuple(int(c) for c in point))
     return RegionCheck(True, None, None)

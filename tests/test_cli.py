@@ -206,3 +206,26 @@ def test_continuous_rejects_discrete_target(tmp_path):
     assert run(
         ["continuous", "--dist", dist, "--p", 3, "--n", 2, "--out-dir", tmp_path / "y"]
     ) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--dist", "w1", "--trials", 0],
+        ["search", "--dist", "w1", "--trials", -2],
+        ["sweep-rate", "--dist", "w3", "--k-range", "1:2", "--trials", -1],
+        ["bounds", "--dist", "w3", "--estimate", "--trials", 0],
+        ["reproduce", "--case", "w1", "--trials", 0],
+        ["analyze", "--dist", "w1", "--k", 0],
+        ["analyze", "--dist", "w1", "--k", 2],
+        ["search", "--dist", "w3", "--k", 0, "--trials", 1],
+        ["bounds", "--dist", "w3", "--k", 0],
+        ["continuous", "--dist", "triangle", "--p", 5, "--n", 2, "--k", 0],
+    ],
+)
+def test_bad_counts_exit_2_before_any_output(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(argv + ["--out-dir", out]) == 2
+    assert not out.exists()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

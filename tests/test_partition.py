@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lqn.partition as partition
 from lqn import (
@@ -14,7 +16,9 @@ from lqn import (
     build_typicality_partition,
     coset_id,
     coset_ids,
+    enumerate_codewords,
     lattice_contains,
+    log2_likelihoods,
     make_code,
     quantize,
     sample_generator,
@@ -36,6 +40,32 @@ def brute_force_cells(code):
     for v in grid:
         cells.setdefault(coset_id(code, v), []).append(tuple(int(x) for x in v))
     return cells
+
+
+def oracle_region(code, target, criterion, tp):
+    """Brute-force reps and good flags. Test-local oracle.
+
+    Each coset is one of its points plus every codeword; the rule is applied
+    to the members' log2_likelihoods, ties going to the smallest encoding.
+    """
+    p, n = code.p, code.n
+    grid = np.stack(np.unravel_index(np.arange(p**n), (p,) * n), axis=1).astype(
+        np.int64
+    )
+    _, first = np.unique(coset_ids(code, grid), return_index=True)
+    members = (grid[first][:, None, :] + enumerate_codewords(code)[None]) % p
+    ids = coset_ids(code, members.reshape(-1, n)).reshape(members.shape[:2])
+    assert (ids == np.arange(code.num_cosets)[:, None]).all()
+    ll = log2_likelihoods(members, target)
+    enc = members @ (p ** np.arange(n - 1, -1, -1))
+    typical = np.abs(-ll / n - target.entropy_bits) <= tp.epsilon
+    if criterion == "ml":
+        cand = ll == ll.max(axis=1, keepdims=True)
+    else:
+        cand = typical | ~typical.any(axis=1, keepdims=True)
+    pick = np.where(cand, enc, p**n).argmin(axis=1)
+    rows = np.arange(code.num_cosets)
+    return members[rows, pick], typical[rows, pick]
 
 
 def test_coset_id_fixture_and_coset_invariance():
@@ -141,18 +171,54 @@ def test_build_rejects_modulus_mismatch():
         build_ml_partition(C3, t5)
 
 
-def test_builders_are_deterministic_and_block_independent(monkeypatch):
+def test_builders_are_deterministic_and_block_independent():
     code = sample_generator(9, 2, 5, 3)
     t = validate_discrete([0.6, 0.25, 0.15], 3)
     ref = build_typicality_partition(code, t)
     again = build_typicality_partition(code, t)
     assert np.array_equal(ref.reps, again.reps)
     assert np.array_equal(ref.good_flags, again.good_flags)
-    # shrinking the processing block must not change any choice
-    monkeypatch.setattr(partition, "_BLOCK_ELEMS", 16)
-    small = build_typicality_partition(code, t)
-    assert np.array_equal(ref.reps, small.reps)
-    assert np.array_equal(ref.good_flags, small.good_flags)
+    # a freshly built likelihood table must not change any choice
+    partition._likelihood_table.cache_clear()
+    fresh = build_typicality_partition(code, t)
+    assert np.array_equal(ref.reps, fresh.reps)
+    assert np.array_equal(ref.good_flags, fresh.good_flags)
+
+
+MAX_N = {2: 11, 3: 7, 5: 5}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from(sorted(MAX_N)),
+    sizes=st.tuples(st.integers(2, 11), st.integers(2, 11)),
+    seed=st.integers(0, 2**32 - 1),
+    uniform=st.booleans(),
+)
+@example(p=2, sizes=(9, 8), seed=1, uniform=False)
+@example(p=2, sizes=(11, 10), seed=2, uniform=True)
+@example(p=3, sizes=(7, 4), seed=3, uniform=False)
+def test_builders_match_brute_force_oracle(p, sizes, seed, uniform):
+    rng = np.random.default_rng(seed)
+    # small integer weights make many likelihood sums tie exactly
+    weights = rng.integers(1, 4, size=p)
+    tied = validate_discrete(weights / weights.sum(), p)
+    other = np.full(p, 1.0 / p) if uniform else rng.dirichlet(np.ones(p)).clip(1e-3)
+    other = validate_discrete(other / other.sum(), p)
+    n1, n2 = (min(n, MAX_N[p]) for n in sizes)
+    # alternate targets and block lengths, so a stale cached table would show
+    for target, n in ((tied, n1), (other, n1), (tied, n2), (tied, n1)):
+        k = int(rng.integers(1, n))
+        code = sample_generator((seed, n, k), k, n, p)
+        tp = TypicalityParams.default(n)
+        for criterion, build in (
+            ("ml", build_ml_partition),
+            ("typicality", build_typicality_partition),
+        ):
+            region = build(code, target)
+            reps, good = oracle_region(code, target, criterion, tp)
+            assert np.array_equal(region.reps, reps)
+            assert np.array_equal(region.good_flags, good)
 
 
 def test_quantize_fixture():
