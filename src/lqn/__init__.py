@@ -28,25 +28,22 @@ from .codes import (
     select_k,
 )
 from .continuous import (
+    BinnedDensity,
     ContinuousConstruction,
     ContinuousReport,
     LiftedCell,
     LinearPiece,
-    bin_pdf,
+    bin_density,
     build_continuous,
-    choose_delta,
     continuous_divergence,
-    eta_and_r,
     fold_density,
     lift_region,
-    mean_log2_by_bin,
 )
 from .distributions import (
     ContinuousTarget,
     DiscreteTarget,
     TypicalityParams,
     alpha,
-    entropy_bits,
     is_typical,
     log2_likelihoods,
     parse_distribution,
@@ -79,11 +76,9 @@ from .zplinalg import (
     RrefResult,
     ensure_prime,
     is_prime,
-    mat_vec_mul,
     mod_reduce,
     parity_check,
     rref,
-    syndromes,
 )
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from .analysis import (
 )
 from .cases import BuiltinCase, builtin_cases, continuous_builtins
 from .codes import rate, sample_generator, select_k
-from .continuous import build_continuous, continuous_divergence
+from .continuous import bin_density, build_continuous, continuous_divergence
 from .distributions import (
     ContinuousTarget,
     DiscreteTarget,
@@ -53,17 +53,21 @@ def _typ_params(n: int, args) -> TypicalityParams:
 
 def _resolve_discrete(args) -> tuple[DiscreteTarget, int, int, BuiltinCase | None]:
     """Target, modulus, and block length from --dist/--n."""
-    cases = builtin_cases()
-    if args.dist in cases:
-        case = cases[args.dist]
-        n = args.n if getattr(args, "n", None) else case.n
-        return case.target, case.p, n, case
+    case = builtin_cases().get(args.dist)
+    if case is not None:
+        return case.target, case.p, case.n if args.n is None else _check_n(args.n), case
     target = io.load_distribution_file(args.dist)
     if not isinstance(target, DiscreteTarget):
         raise LqnError("this command needs a discrete target")
-    if not getattr(args, "n", None):
+    if args.n is None:
         raise LqnError("--n is required for file targets")
-    return target, target.p, args.n, None
+    return target, target.p, _check_n(args.n), None
+
+
+def _check_n(n: int) -> int:
+    if n < 2:
+        raise LqnError(f"--n must be at least 2, got {n}")
+    return n
 
 
 def _at_least_one(flag: str, value: int) -> int:
@@ -97,17 +101,18 @@ def _emit_bundle(out_dir: Path, report, region, provenance: dict) -> None:
     io.write_region_csv(out_dir / "region.csv", region)
 
 
-def _provenance(args, trial, p, n, k, tp) -> dict:
-    """What rebuilds the emitted region of analyze and search."""
+def _provenance(dist, seed, trial, p, n, k, criterion, tp, **extra) -> dict:
+    """What rebuilds the emitted region of analyze, search and reproduce."""
     return {
-        "dist": args.dist,
-        "seed": args.seed,
+        "dist": dist,
+        "seed": seed,
         "trial": trial,
         "p": p,
         "n": n,
         "k": k,
-        "criterion": args.criterion,
+        "criterion": criterion,
         "epsilon": tp.epsilon,
+        **extra,
     }
 
 
@@ -137,7 +142,8 @@ def cmd_analyze(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     region = _build_one(args.seed, 0, k, n, target, args.criterion, tp, _max_points(args))
     report = analyze_region(region, target)
-    _emit_bundle(out, report, region, _provenance(args, 0, p, n, k, tp))
+    prov = _provenance(args.dist, args.seed, 0, p, n, k, args.criterion, tp)
+    _emit_bundle(out, report, region, prov)
     print(f"D_per_dim={report.D_per_dim!r} bits, wrote {out / 'report.json'}")
     return 0
 
@@ -154,8 +160,10 @@ def cmd_search(args) -> int:
         args.direction, _max_points(args),
     )
     report = analyze_region(region, target)
-    prov = _provenance(args, t, p, n, k, tp)
-    prov.update(direction=args.direction, trials=args.trials)
+    prov = _provenance(
+        args.dist, args.seed, t, p, n, k, args.criterion, tp,
+        direction=args.direction, trials=args.trials,
+    )
     _emit_bundle(out, report, region, prov)
     io.write_trials_csv(out / "trials.csv", rows)
     print(f"best trial {t}: D_total={report.D_total_bits!r} bits")
@@ -241,18 +249,10 @@ def cmd_reproduce(args) -> int:
             target, n, k, case.criterion, tp, seed, trials, "minimize", max_points
         )
     report = analyze_region(region, target)
-    prov = {
-        "dist": args.case,
-        "seed": seed,
-        "trial": t,
-        "p": p,
-        "n": n,
-        "k": k,
-        "criterion": case.criterion,
-        "epsilon": tp.epsilon,
-        "direction": "minimize",
-        "trials": trials,
-    }
+    prov = _provenance(
+        args.case, seed, t, p, n, k, case.criterion, tp,
+        direction="minimize", trials=trials,
+    )
     _emit_bundle(out, report, region, prov)
     io.write_trials_csv(out / "trials.csv", trial_rows)
     print(f"{args.case}: k={k}, best trial {t}, D_per_dim={report.D_per_dim!r} bits")
@@ -309,14 +309,9 @@ def cmd_continuous(args) -> int:
         target = io.load_distribution_file(args.dist)
         if not isinstance(target, ContinuousTarget):
             raise LqnError("this command needs a continuous target")
-    n = args.n
-    if args.k is not None:
-        k = _check_k(args.k, n)
-    else:
-        from .continuous import bin_pdf, choose_delta, fold_density
-
-        binned = bin_pdf(fold_density(target), args.p, choose_delta(target, args.p))
-        k = select_k(args.p, n, binned, "closest")
+    n = _check_n(args.n)
+    binned = bin_density(target, args.p).binned
+    k = select_k(args.p, n, binned, "closest") if args.k is None else _check_k(args.k, n)
     tp = _typ_params(n, args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

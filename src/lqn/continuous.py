@@ -15,6 +15,7 @@ final logarithmic integrals are evaluated in floats.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +39,6 @@ from .partition import (
 from .zplinalg import ensure_prime
 
 BOUND_TOL = 1e-9
-_MIDPOINT_CUTOFF = 1e-9
 
 
 @dataclass(frozen=True)
@@ -90,12 +90,6 @@ def fold_density(target: ContinuousTarget) -> tuple[LinearPiece, ...]:
     return tuple(folded)
 
 
-def choose_delta(target: ContinuousTarget, p: int) -> Fraction:
-    """Bin width 2A/p as an exact rational; p must be prime."""
-    ensure_prime(p)
-    return 2 * Fraction(target.half_width) / p
-
-
 def _clip(pieces, lo: Fraction, hi: Fraction) -> list[LinearPiece]:
     """Restrict the piece list to [lo, hi), keeping endpoint values exact."""
     out = []
@@ -107,71 +101,63 @@ def _clip(pieces, lo: Fraction, hi: Fraction) -> list[LinearPiece]:
     return out
 
 
-def _bin_slices(folded, p: int, delta: Fraction) -> list[list[LinearPiece]]:
-    return [_clip(folded, y * delta, (y + 1) * delta) for y in range(p)]
+def _piece_log_integral(c0: float, c1: float, width: float) -> float:
+    """Integral of ln(density) over one linear piece with endpoint values c0, c1.
 
-
-def bin_pdf(folded, p: int, delta: Fraction) -> DiscreteTarget:
-    """Exact bin masses of the wrapped density, normalized by its total mass.
-
-    The masses of a density that integrates to 1 + r for tiny r are divided
-    by 1 + r, so the pmf is exactly normalized whatever rounding the caller's
-    knot values carry.
+    Written as width * (ln c1 - 1 + log1p(x)/x) with x = (c1 - c0)/c0, which
+    stays accurate as the piece flattens; a flat piece is exact.
     """
-    ensure_prime(p)
-    masses = []
-    for chunks in _bin_slices(folded, p, delta):
-        if any(pc.y0 <= 0 or pc.y1 <= 0 for pc in chunks):
+    if c1 == c0:
+        return width * math.log(c0)
+    x = (c1 - c0) / c0
+    return width * (math.log(c1) - 1.0 + math.log1p(x) / x)
+
+
+@dataclass(frozen=True, eq=False)
+class BinnedDensity:
+    """A density wrapped onto [0, 2A) and cut into p bins of width delta = 2A/p.
+
+    binned is the pmf of the exact bin masses divided by their total, so it is
+    exactly normalized whatever rounding the knot values carry. r is the worst
+    over bins of (smallest / largest density value inside the bin), and
+    eta = delta / r bounds the reciprocal of the conditional density given the
+    bin from above. mean_log2[b] is (1/delta) * integral over bin b of
+    log2(density), in closed form.
+    """
+
+    delta: Fraction
+    binned: DiscreteTarget
+    eta: float
+    r: float
+    mean_log2: np.ndarray
+
+
+@functools.lru_cache(maxsize=1)
+def bin_density(target: ContinuousTarget, p: int) -> BinnedDensity:
+    """Fold once, clip each bin once; p must be prime. Targets hash by identity."""
+    p = ensure_prime(p)
+    delta = 2 * Fraction(target.half_width) / p
+    folded = fold_density(target)
+    masses, r = [], Fraction(1)
+    mean_log2 = np.empty(p, dtype=np.float64)
+    for y in range(p):
+        chunks = _clip(folded, y * delta, (y + 1) * delta)
+        vals = [v for pc in chunks for v in (pc.y0, pc.y1)]
+        lo = min(vals, default=0)
+        if lo <= 0:
             raise NotPermissibleError("density touches zero inside a bin")
         masses.append(
             sum(((pc.y0 + pc.y1) * (pc.x1 - pc.x0) / 2 for pc in chunks), Fraction(0))
         )
-    total = sum(masses, Fraction(0))
-    if total <= 0:
-        raise NotPermissibleError("wrapped density has no mass")
-    return validate_discrete([float(m / total) for m in masses], p)
-
-
-def eta_and_r(folded, p: int, delta: Fraction) -> tuple[float, float]:
-    """Conservative within-bin spread.
-
-    r is the worst over bins of (smallest density value / largest density
-    value) inside the bin; eta = delta / r bounds the reciprocal of the
-    conditional density given the bin from above.
-    """
-    r = Fraction(1)
-    for chunks in _bin_slices(folded, p, delta):
-        vals = [v for pc in chunks for v in (pc.y0, pc.y1)]
-        if not vals:
-            raise NotPermissibleError("empty bin")
-        lo, hi = min(vals), max(vals)
-        if lo <= 0:
-            raise NotPermissibleError("density touches zero inside a bin")
-        r = min(r, lo / hi)
-    return float(delta / r), float(r)
-
-
-def _piece_log_integral(c0: float, c1: float, width: float) -> float:
-    """Integral of ln(density) over one linear piece with endpoint values c0, c1."""
-    if width == 0.0:
-        return 0.0
-    if abs(c1 - c0) <= _MIDPOINT_CUTOFF * max(c0, c1):
-        return width * math.log(0.5 * (c0 + c1))
-    slope = (c1 - c0) / width
-    return ((c1 * math.log(c1) - c1) - (c0 * math.log(c0) - c0)) / slope
-
-
-def mean_log2_by_bin(folded, p: int, delta: Fraction) -> np.ndarray:
-    """L[b] = (1/delta) * integral over bin b of log2(density), closed form."""
-    out = np.empty(p, dtype=np.float64)
-    for y, chunks in enumerate(_bin_slices(folded, p, delta)):
+        r = min(r, lo / max(vals))
         acc = 0.0
         for pc in chunks:
-            acc += _piece_log_integral(
-                float(pc.y0), float(pc.y1), float(pc.x1 - pc.x0)
-            )
-        out[y] = acc / math.log(2.0) / float(delta)
-    return out
+            acc += _piece_log_integral(float(pc.y0), float(pc.y1), float(pc.x1 - pc.x0))
+        mean_log2[y] = acc / math.log(2.0) / float(delta)
+    mean_log2.setflags(write=False)
+    total = sum(masses, Fraction(0))
+    binned = validate_discrete([float(m / total) for m in masses], p)
+    return BinnedDensity(delta, binned, float(delta / r), float(r), mean_log2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,23 +205,20 @@ def build_continuous(
     tp: TypicalityParams | None = None,
     max_points: int | None = None,
 ) -> ContinuousConstruction:
-    """Fold, bin, and build the discrete region for the binned pmf."""
-    folded = fold_density(target)
-    delta = choose_delta(target, p)
-    binned = bin_pdf(folded, p, delta)
+    """Bin the density and build the discrete region for the binned pmf."""
+    bins = bin_density(target, p)
     code = sample_generator(seed, k, n, p)
     build = build_ml_partition if criterion == "ml" else build_typicality_partition
-    region = build(code, binned, tp=tp, max_points=max_points)
-    eta, r = eta_and_r(folded, p, delta)
+    region = build(code, bins.binned, tp=tp, max_points=max_points)
     return ContinuousConstruction(
         target=target,
         p=p,
-        delta=delta,
-        binned=binned,
+        delta=bins.delta,
+        binned=bins.binned,
         code=code,
         region=region,
-        eta=eta,
-        r=r,
+        eta=bins.eta,
+        r=bins.r,
     )
 
 
@@ -248,8 +231,7 @@ def continuous_divergence(cc: ContinuousConstruction) -> ContinuousReport:
     """
     region = cc.region
     n = region.code.n
-    ltab = mean_log2_by_bin(fold_density(cc.target), cc.p, cc.delta)
-    per_rep = ltab[region.reps].sum(axis=1)
+    per_rep = bin_density(cc.target, cc.p).mean_log2[region.reps].sum(axis=1)
     d = (
         -n * math.log2(float(cc.delta))
         - math.log2(region.size)

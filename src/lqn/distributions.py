@@ -72,10 +72,6 @@ def uniform_target(p: int) -> DiscreteTarget:
     return validate_discrete(np.full(p, 1.0 / p), p)
 
 
-def entropy_bits(target: DiscreteTarget) -> float:
-    return target.entropy_bits
-
-
 def alpha(target: DiscreteTarget) -> float:
     """Gap -log2(a_min) - H, never negative (clamped against float dust)."""
     val = -math.log2(target.a_min) - target.entropy_bits

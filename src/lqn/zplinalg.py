@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, RankDeficientError
+from .errors import RankDeficientError
 
 
 def is_prime(p: int) -> bool:
@@ -93,20 +93,3 @@ def parity_check(g, p: int) -> np.ndarray:
         h[i, piv] = (-red.matrix[:, c]) % p
     h.setflags(write=False)
     return h
-
-
-def mat_vec_mul(m, v, p: int) -> np.ndarray:
-    """Row vector times matrix, v.m mod p (the message-to-codeword map)."""
-    m = mod_reduce(np.atleast_2d(m), p)
-    v = mod_reduce(v, p)
-    if v.ndim != 1 or v.shape[0] != m.shape[0]:
-        raise DimensionMismatchError(
-            f"vector of length {v.shape} does not left-multiply {m.shape}"
-        )
-    return v @ m % p
-
-
-def syndromes(h, vecs, p: int) -> np.ndarray:
-    """Apply the parity map to one vector or a batch of row vectors."""
-    vecs = mod_reduce(vecs, p)
-    return vecs @ np.asarray(h, dtype=np.int64).T % p

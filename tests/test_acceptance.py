@@ -33,7 +33,7 @@ from lqn import (
 )
 from lqn.cases import continuous_builtins
 from lqn.cli import main
-from lqn.continuous import bin_pdf, choose_delta, fold_density
+from lqn.continuous import bin_density
 from lqn.io import load_json, load_marginals_csv, load_region_csv
 
 
@@ -165,7 +165,7 @@ def test_criterion_06_marginal_chain_rule():
         fixtures.append((build_ml_partition(code, target), target))
         fixtures.append((build_typicality_partition(code, target), target))
     for p, n in ((5, 4), (13, 3)):
-        binned = bin_pdf(fold_density(tri), p, choose_delta(tri, p))
+        binned = bin_density(tri, p).binned
         code = sample_generator((70 + p, 0), 1, n, p)
         fixtures.append((build_typicality_partition(code, binned), binned))
     u5 = uniform_target(5)

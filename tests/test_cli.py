@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import lqn.continuous
 from lqn import analyze_region, build_ml_partition, sample_generator, validate_region
 from lqn.cli import main
 from lqn.io import load_json, load_marginals_csv, load_region_csv
@@ -201,11 +202,35 @@ def test_continuous_command(tmp_path):
     assert reps.shape[1] == 2
 
 
+def test_continuous_command_folds_once(tmp_path, monkeypatch):
+    calls = []
+    fold = lqn.continuous.fold_density
+
+    def counting_fold(target):
+        calls.append(target)
+        return fold(target)
+
+    monkeypatch.setattr(lqn.continuous, "fold_density", counting_fold)
+    lqn.continuous.bin_density.cache_clear()
+    assert run(
+        ["continuous", "--dist", "triangle", "--p", 7, "--n", 3, "--out-dir", tmp_path]
+    ) == 0
+    assert len(calls) == 1
+
+
 def test_continuous_rejects_discrete_target(tmp_path):
     dist = uniform3_file(tmp_path)
     assert run(
         ["continuous", "--dist", dist, "--p", 3, "--n", 2, "--out-dir", tmp_path / "y"]
     ) == 2
+
+
+BAD_N = [
+    ["analyze", "--dist", "w1", "--n", 0],
+    ["analyze", "--dist", "w3", "--n", 1],
+    ["analyze", "--dist", "uniform3.json", "--n", 0],
+    ["continuous", "--dist", "triangle", "--p", 5, "--n", 1],
+]
 
 
 @pytest.mark.parametrize(
@@ -221,11 +246,23 @@ def test_continuous_rejects_discrete_target(tmp_path):
         ["search", "--dist", "w3", "--k", 0, "--trials", 1],
         ["bounds", "--dist", "w3", "--k", 0],
         ["continuous", "--dist", "triangle", "--p", 5, "--n", 2, "--k", 0],
+        *BAD_N,
+        ["continuous", "--dist", "triangle", "--p", 4, "--n", 3, "--k", 1],
     ],
 )
-def test_bad_counts_exit_2_before_any_output(tmp_path, capsys, argv):
+def test_bad_counts_exit_2_before_any_output(tmp_path, capsys, monkeypatch, argv):
+    uniform3_file(tmp_path)
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
     assert run(argv + ["--out-dir", out]) == 2
     assert not out.exists()
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_block_length_below_two_is_named(tmp_path, capsys, monkeypatch):
+    uniform3_file(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for argv in BAD_N:
+        assert run(argv + ["--out-dir", tmp_path / "out"]) == 2
+        assert capsys.readouterr().out == f"error: --n must be at least 2, got {argv[-1]}\n"

@@ -1,27 +1,26 @@
 """Interval targets: folding, binning, spread bounds, lifted divergence."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from lqn import (
-    LinearPiece,
+    ContinuousTarget,
     NotPermissibleError,
     analyze_region,
-    bin_pdf,
+    bin_density,
     build_continuous,
-    choose_delta,
     continuous_divergence,
-    eta_and_r,
     fold_density,
     lift_region,
-    mean_log2_by_bin,
     select_k,
     validate_continuous,
 )
 from lqn.cases import continuous_builtins
+from lqn.continuous import _piece_log_integral
 
 TRIANGLE = continuous_builtins()["triangle"]
 FLAT = continuous_builtins()["flat"]
@@ -67,14 +66,14 @@ def test_fold_density_flat():
 
 
 def test_choose_delta_exact():
-    assert choose_delta(TRIANGLE, 13) == Fraction(2, 13)
-    assert choose_delta(TRIANGLE, 37) < choose_delta(TRIANGLE, 13)
+    assert bin_density(TRIANGLE, 13).delta == Fraction(2, 13)
+    assert bin_density(TRIANGLE, 37).delta < bin_density(TRIANGLE, 13).delta
     with pytest.raises(ValueError):
-        choose_delta(TRIANGLE, 4)
+        bin_density(TRIANGLE, 4)
 
 
 def test_bin_pdf_triangle_fixture():
-    binned = bin_pdf(fold_density(TRIANGLE), 13, Fraction(2, 13))
+    binned = bin_density(TRIANGLE, 13).binned
     assert binned.p == 13
     assert binned.probs.tolist() == TRIANGLE_BIN_PROBS
     # reflection symmetry of the tent survives binning exactly
@@ -83,13 +82,12 @@ def test_bin_pdf_triangle_fixture():
 
 
 def test_bin_pdf_flat_is_uniform():
-    binned = bin_pdf(fold_density(FLAT), 13, Fraction(2, 13))
+    binned = bin_density(FLAT, 13).binned
     assert np.allclose(binned.probs, 1 / 13, atol=1e-15)
 
 
 def test_bin_pdf_matches_rational_oracle_p5():
     # independent trapezoid integration in exact rationals
-    folded = fold_density(TRIANGLE)
     delta = Fraction(2, 5)
 
     def tent(x):
@@ -105,44 +103,57 @@ def test_bin_pdf_matches_rational_oracle_p5():
             sum((tent(u) + tent(v)) * (v - u) / 2 for u, v in zip(cuts, cuts[1:]))
         )
     total = sum(masses)
-    binned = bin_pdf(folded, 5, delta)
+    binned = bin_density(TRIANGLE, 5).binned
     assert binned.probs.tolist() == [float(m / total) for m in masses]
 
 
 def test_bin_pdf_rejects_zero_touching_pieces():
-    pieces = (LinearPiece(Fraction(0), Fraction(2), Fraction(0), Fraction(1)),)
+    # built directly, past validate_continuous: the density is 0 at x = 0
+    target = ContinuousTarget(1.0, ((-1.0, 1.0), (0.0, 0.0), (1.0, 1.0)), 0.0, 1.0)
     with pytest.raises(NotPermissibleError):
-        bin_pdf(pieces, 3, Fraction(2, 3))
+        bin_density(target, 3)
 
 
 def test_eta_and_r_fixtures():
-    eta, r = eta_and_r(fold_density(TRIANGLE), 13, Fraction(2, 13))
-    assert r == TRIANGLE_R
-    assert eta == float(Fraction(2, 13) / Fraction(13, 27))
-    eta_f, r_f = eta_and_r(fold_density(FLAT), 13, Fraction(2, 13))
-    assert r_f == 1.0
-    assert eta_f == float(Fraction(2, 13))
+    bins = bin_density(TRIANGLE, 13)
+    assert bins.r == TRIANGLE_R
+    assert bins.eta == float(Fraction(2, 13) / Fraction(13, 27))
+    flat = bin_density(FLAT, 13)
+    assert flat.r == 1.0
+    assert flat.eta == float(Fraction(2, 13))
 
 
 def test_eta_and_r_doubling_piece():
-    # density doubling inside bin 0 pins that bin's ratio at exactly 1/2
-    pieces = (
-        LinearPiece(Fraction(0), Fraction(2, 3), Fraction(1, 2), Fraction(1)),
-        LinearPiece(Fraction(2, 3), Fraction(2), Fraction(1), Fraction(1)),
-    )
-    _, r = eta_and_r(pieces, 3, Fraction(2, 3))
-    assert r == 0.5
+    # wrapped, the density doubles inside bin 0 from s/2 to s, which pins
+    # that bin's ratio at exactly 1/2; the knots integrate to exactly 1
+    s = 12 / 19
+    target = validate_continuous(1.0, [(-1, s), (0, s / 2), (2 / 3, s), (1, s)])
+    assert bin_density(target, 3).r == 0.5
 
 
 def test_mean_log2_flat_is_exact():
-    L = mean_log2_by_bin(fold_density(FLAT), 13, Fraction(2, 13))
-    assert np.abs(L + 1.0).max() == 0.0  # log2(1/2) per bin, midpoint branch
+    L = bin_density(FLAT, 13).mean_log2
+    assert np.abs(L + 1.0).max() == 0.0  # log2(1/2) per bin, flat-piece branch
 
 
 def test_mean_log2_triangle_matches_quadrature():
-    L = mean_log2_by_bin(fold_density(TRIANGLE), 13, Fraction(2, 13))
+    L = bin_density(TRIANGLE, 13).mean_log2
     assert abs(L[0] - TRIANGLE_L0) <= 1e-12
     assert abs(L[12] - TRIANGLE_L0) <= 1e-12  # symmetric partner
+
+
+@pytest.mark.parametrize("slope", [1e-3, 1e-5, 1e-7, 1e-8, 1e-9, 2e-9])
+def test_piece_log_integral_matches_decimal_oracle(slope):
+    # near-flat pieces against the closed form evaluated in 60 digits
+    width = 0.15
+    for c0 in (0.0625, 0.3, 0.9375, 1.7):
+        for c1 in (c0 * (1 + slope), c0 * (1 - slope)):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                d0, d1 = Decimal(c0), Decimal(c1)
+                exact = Decimal(width) * (d1 * d1.ln() - d1 - d0 * d0.ln() + d0) / (d1 - d0)
+                rel = abs(Decimal(_piece_log_integral(c0, c1, width)) - exact) / abs(exact)
+            assert rel <= Decimal("1e-12"), (c0, c1, float(rel))
 
 
 def test_build_continuous_assembles_consistently():
@@ -206,8 +217,7 @@ def test_refinement_shrinks_guaranteed_ceiling():
     # 50 seeded codebooks per modulus at the theorem-mode dimension
     means = {}
     for p in (13, 37):
-        binned = bin_pdf(fold_density(TRIANGLE), p, choose_delta(TRIANGLE, p))
-        k = select_k(p, 4, binned, "theorem")
+        k = select_k(p, 4, bin_density(TRIANGLE, p).binned, "theorem")
         bounds = [
             continuous_divergence(
                 build_continuous(TRIANGLE, p, 4, k, (707, p, t))
@@ -217,8 +227,7 @@ def test_refinement_shrinks_guaranteed_ceiling():
         means[p] = float(np.mean(bounds))
     assert means[37] <= means[13] + 0.05
     # the deterministic part of the ceiling also shrinks on its own
-    _, r13 = eta_and_r(fold_density(TRIANGLE), 13, choose_delta(TRIANGLE, 13))
-    _, r37 = eta_and_r(fold_density(TRIANGLE), 37, choose_delta(TRIANGLE, 37))
+    r13, r37 = bin_density(TRIANGLE, 13).r, bin_density(TRIANGLE, 37).r
     assert -math.log2(r37) < -math.log2(r13)
 
 
