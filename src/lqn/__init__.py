@@ -77,7 +77,6 @@ from .zplinalg import (
     ensure_prime,
     is_prime,
     mod_reduce,
-    parity_check,
     rref,
 )
 

@@ -58,18 +58,14 @@ def sum_marginal_kl(region: FundamentalRegion, target: DiscreteTarget) -> float:
     return total
 
 
-def eps_star(
-    region: FundamentalRegion, target: DiscreteTarget
-) -> tuple[float, float, bool]:
-    """Bad-coset fraction, the divergence budget it implies, and the check.
+def eps_star(region: FundamentalRegion, target: DiscreteTarget) -> tuple[float, float]:
+    """Bad-coset fraction and the divergence budget it implies.
 
-    Budget per dimension: 3*eps + bad_fraction * (alpha - eps). The check
-    compares the exact per-dimension divergence against it with a 1e-9 slack.
+    Budget per dimension: 3*eps + bad_fraction * (alpha - eps). Callers hold
+    their exact per-dimension divergence to it with a BOUND_TOL slack.
     """
     bf = 1.0 - float(region.good_flags.mean())
-    budget = 3.0 * region.epsilon + bf * (alpha(target) - region.epsilon)
-    per_dim = kl_region_vs_product(region, target) / region.code.n
-    return bf, budget, bool(per_dim <= budget + BOUND_TOL)
+    return bf, 3.0 * region.epsilon + bf * (alpha(target) - region.epsilon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,17 +85,18 @@ class AnalysisReport:
 
 def analyze_region(region: FundamentalRegion, target: DiscreteTarget) -> AnalysisReport:
     d = kl_region_vs_product(region, target)
-    bf, budget, ok = eps_star(region, target)
+    per_dim = d / region.code.n
+    bf, budget = eps_star(region, target)
     return AnalysisReport(
         D_total_bits=d,
-        D_per_dim=d / region.code.n,
+        D_per_dim=per_dim,
         marginal_distributions=marginals(region),
         sum_marginal_D_bits=sum_marginal_kl(region, target),
         bad_fraction=bf,
         epsilon=region.epsilon,
         alpha=alpha(target),
         eps_star=budget,
-        bound_satisfied=ok,
+        bound_satisfied=bool(per_dim <= budget + BOUND_TOL),
     )
 
 

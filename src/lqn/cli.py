@@ -139,7 +139,6 @@ def cmd_analyze(args) -> int:
     k = _pick_k(args, case, target, n)
     tp = _typ_params(n, args)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     region = _build_one(args.seed, 0, k, n, target, args.criterion, tp, _max_points(args))
     report = analyze_region(region, target)
     prov = _provenance(args.dist, args.seed, 0, p, n, k, args.criterion, tp)
@@ -154,7 +153,6 @@ def cmd_search(args) -> int:
     _at_least_one("--trials", args.trials)
     tp = _typ_params(n, args)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     (t, region, _), rows = _search(
         target, n, k, args.criterion, tp, args.seed, args.trials,
         args.direction, _max_points(args),
@@ -219,7 +217,6 @@ def cmd_sweep_rate(args) -> int:
     _at_least_one("--trials", args.trials)
     tp = _typ_params(n, args)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows, _ = _sweep(
         target, n, ks, args.criterion, tp, args.seed, args.trials, _max_points(args)
     )
@@ -235,7 +232,6 @@ def cmd_reproduce(args) -> int:
     trials = case.trials if args.trials is None else _at_least_one("--trials", args.trials)
     tp = TypicalityParams.default(n)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     max_points = _max_points(args)
     if len(case.k_values) > 1:
         rows, per_k = _sweep(
@@ -265,7 +261,6 @@ def cmd_bounds(args) -> int:
     _at_least_one("--trials", args.trials)
     tp = _typ_params(n, args)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     region = _build_one(args.seed, 0, k, n, target, "typicality", tp, _max_points(args))
     report = analyze_region(region, target)
     payload = {
@@ -314,7 +309,6 @@ def cmd_continuous(args) -> int:
     k = select_k(args.p, n, binned, "closest") if args.k is None else _check_k(args.k, n)
     tp = _typ_params(n, args)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     cc = build_continuous(
         target, args.p, n, k, (args.seed, 0),
         criterion=args.criterion, tp=tp, max_points=_max_points(args),

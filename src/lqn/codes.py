@@ -15,7 +15,7 @@ import numpy as np
 
 from .distributions import DiscreteTarget
 from .errors import NoFeasibleRateError, RankDeficientError, TooLargeError
-from .zplinalg import ensure_prime, mod_reduce, parity_check, rref
+from .zplinalg import ensure_prime, mod_reduce, rref
 
 MAX_CODEWORDS = 1 << 22
 MAX_POINTS = 1 << 24
@@ -44,7 +44,13 @@ class LinearCode:
 
 
 def make_code(generator, p: int) -> LinearCode:
-    """Wrap a generator matrix, rejecting rank-deficient ones."""
+    """Wrap a generator matrix, rejecting rank-deficient ones.
+
+    The parity check comes from the same row reduction: each non-pivot column
+    gives one row with a 1 in that column and the negated pivot coefficients,
+    so its kernel is exactly the row space and its syndromes separate the
+    p**(n-k) cosets.
+    """
     p = ensure_prime(p)
     g = mod_reduce(np.atleast_2d(generator), p)
     k, n = g.shape
@@ -53,9 +59,12 @@ def make_code(generator, p: int) -> LinearCode:
     red = rref(g, p)
     if red.rank < k:
         raise RankDeficientError(f"generator has rank {red.rank}, expected {k}")
-    h = parity_check(g, p)
     piv = red.pivot_cols
     free = tuple(c for c in range(n) if c not in set(piv))
+    h = np.zeros((n - k, n), dtype=np.int64)
+    h[np.arange(n - k), free] = 1
+    h[:, list(piv)] = (-red.matrix[:, free].T) % p
+    h.setflags(write=False)
     g = g.copy()
     g.setflags(write=False)
     return LinearCode(g, p, k, n, h, piv, free)
@@ -65,8 +74,10 @@ def draw_full_rank(rng: np.random.Generator, k: int, n: int, p: int) -> LinearCo
     """Draw i.i.d. uniform entries until the matrix has full row rank."""
     for _ in range(RESAMPLE_CAP):
         g = rng.integers(0, p, size=(k, n), dtype=np.int64)
-        if rref(g, p).rank == k:
+        try:
             return make_code(g, p)
+        except RankDeficientError:
+            continue
     raise RankDeficientError(f"no full-rank draw in {RESAMPLE_CAP} attempts")
 
 

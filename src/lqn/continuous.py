@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analysis import eps_star
+from .analysis import BOUND_TOL, eps_star
 from .codes import LinearCode, sample_generator
 from .distributions import (
     ContinuousTarget,
@@ -37,8 +37,6 @@ from .partition import (
     build_typicality_partition,
 )
 from .zplinalg import ensure_prime
-
-BOUND_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -237,7 +235,7 @@ def continuous_divergence(cc: ContinuousConstruction) -> ContinuousReport:
         - math.log2(region.size)
         - float(per_rep.sum()) / region.size
     )
-    bf, budget, _ = eps_star(region, cc.binned)
+    bf, budget = eps_star(region, cc.binned)
     penalty = cc.spread_penalty_bits
     bound = budget + penalty
     return ContinuousReport(

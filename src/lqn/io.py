@@ -3,12 +3,14 @@
 Every emitted file carries a schema_version; loaders reject any major
 version they do not know. Output is byte-deterministic: keys are sorted,
 floats use their shortest round-trip repr, and nothing timestamped is
-written.
+written. Each file is written whole to a temporary name and then renamed
+onto its own, and its directory is made only then.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -40,11 +42,9 @@ def _plain(value):
 
 
 def write_json(path, payload: dict) -> Path:
-    path = Path(path)
     body = dict(payload)
     body.setdefault("schema_version", SCHEMA_VERSION)
-    path.write_text(json.dumps(_plain(body), sort_keys=True, indent=2) + "\n")
-    return path
+    return _write_text(path, json.dumps(_plain(body), sort_keys=True, indent=2) + "\n")
 
 
 def load_json(path) -> dict:
@@ -69,77 +69,67 @@ def report_payload(report: AnalysisReport, provenance: dict) -> dict:
     }
 
 
-def _write_csv(path, comment: str, header: list[str], rows) -> Path:
+def _write_text(path, text: str) -> Path:
+    """Write a whole file: to <name>.tmp beside it, then os.replace onto path.
+
+    The parent directory is created here, so a command that fails before its
+    first write leaves no output directory behind.
+    """
     path = Path(path)
-    lines = [f"# {comment}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
     return path
 
 
-def _cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(int(v)) if isinstance(v, (int, np.integer)) else str(v)
+def _write_csv(path, header: list[str], rows) -> Path:
+    """Rows of Python ints and floats; str gives ints and shortest float reprs."""
+    lines = [f"# schema_version={SCHEMA_VERSION}", ",".join(header)]
+    lines.extend(",".join(map(str, row)) for row in rows)
+    return _write_text(path, "\n".join(lines) + "\n")
 
 
-def _read_csv(path) -> tuple[list[str], list[list[str]]]:
+def _read_csv(path, dtype) -> np.ndarray:
+    """The body of a CSV written by _write_csv, below its header, as one array."""
     lines = Path(path).read_text().splitlines()
-    meta = [ln for ln in lines if ln.startswith("#")]
     version = None
-    for ln in meta:
-        if "schema_version=" in ln:
+    for ln in lines:
+        if ln.startswith("#") and "schema_version=" in ln:
             version = ln.split("schema_version=")[1].strip()
     _check_version(version)
     data = [ln for ln in lines if ln and not ln.startswith("#")]
-    header = data[0].split(",")
-    return header, [ln.split(",") for ln in data[1:]]
+    return np.array([ln.split(",") for ln in data[1:]], dtype=dtype)
 
 
 def write_region_csv(path, region: FundamentalRegion) -> Path:
     header = ["syndrome_index"] + [f"r{i}" for i in range(region.code.n)] + ["good"]
-    rows = (
-        [i, *region.reps[i], region.good_flags[i]] for i in range(region.size)
-    )
-    return _write_csv(path, f"schema_version={SCHEMA_VERSION}", header, rows)
+    table = np.column_stack([np.arange(region.size), region.reps, region.good_flags])
+    # one row at a time: a whole-table tolist() would hold every cell as an object
+    return _write_csv(path, header, (row.tolist() for row in table))
 
 
 def load_region_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows back as (syndrome indices, representatives, good flags)."""
-    header, rows = _read_csv(path)
-    n = len(header) - 2
-    idx = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    reps = np.array([[int(c) for c in r[1 : 1 + n]] for r in rows], dtype=np.int64)
-    good = np.array([r[-1] == "1" for r in rows], dtype=bool)
-    return idx, reps, good
+    table = _read_csv(path, np.int64)
+    return table[:, 0], table[:, 1:-1], table[:, -1] == 1
 
 
 def write_marginals_csv(path, marginal_rows: np.ndarray) -> Path:
-    p = marginal_rows.shape[1]
-    header = [f"s{j}" for j in range(p)]
-    return _write_csv(
-        path, f"schema_version={SCHEMA_VERSION}", header, marginal_rows.tolist()
-    )
+    header = [f"s{j}" for j in range(marginal_rows.shape[1])]
+    return _write_csv(path, header, marginal_rows.tolist())
 
 
 def load_marginals_csv(path) -> np.ndarray:
-    _, rows = _read_csv(path)
-    return np.array([[float(c) for c in r] for r in rows], dtype=np.float64)
+    return _read_csv(path, np.float64)
 
 
 def write_trials_csv(path, rows) -> Path:
-    return _write_csv(
-        path, f"schema_version={SCHEMA_VERSION}", ["trial", "D_total_bits"], rows
-    )
+    return _write_csv(path, ["trial", "D_total_bits"], rows)
 
 
 def write_sweep_csv(path, rows) -> Path:
-    return _write_csv(
-        path, f"schema_version={SCHEMA_VERSION}", ["k", "R_bits", "D_per_dim"], rows
-    )
+    return _write_csv(path, ["k", "R_bits", "D_per_dim"], rows)
 
 
 def load_distribution_file(path):

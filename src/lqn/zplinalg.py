@@ -1,7 +1,7 @@
 """Exact linear algebra over the prime field Z_p.
 
 Everything here works on integer numpy arrays and keeps all arithmetic
-exact: reductions, row echelon forms, parity checks. No floating point.
+exact: reductions and row echelon forms. No floating point.
 """
 
 from __future__ import annotations
@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import RankDeficientError
 
 
 def is_prime(p: int) -> bool:
@@ -71,25 +69,3 @@ def rref(m, p: int) -> RrefResult:
         r += 1
     a.setflags(write=False)
     return RrefResult(a, r, tuple(pivots))
-
-
-def parity_check(g, p: int) -> np.ndarray:
-    """(n-k) x n matrix whose kernel is exactly the row space of g.
-
-    Built from the reduced echelon form: each non-pivot column contributes one
-    row with a 1 in that column and the negated pivot-column coefficients.
-    The induced syndrome map separates the p**(n-k) cosets of the code.
-    """
-    g = mod_reduce(np.atleast_2d(g), p)
-    k, n = g.shape
-    red = rref(g, p)
-    if red.rank < k:
-        raise RankDeficientError(f"generator has rank {red.rank}, expected {k}")
-    piv = list(red.pivot_cols)
-    free = [c for c in range(n) if c not in set(piv)]
-    h = np.zeros((n - k, n), dtype=np.int64)
-    for i, c in enumerate(free):
-        h[i, c] = 1
-        h[i, piv] = (-red.matrix[:, c]) % p
-    h.setflags(write=False)
-    return h

@@ -114,12 +114,13 @@ def test_sum_marginal_never_exceeds_joint():
 def test_eps_star_fallback_fixture():
     t = validate_discrete([0.9, 0.05, 0.05], 3)
     region = build_typicality_partition(C3, t)
-    bf, budget, ok = eps_star(region, t)
+    bf, budget = eps_star(region, t)
     assert abs(bf - 2 / 3) <= 1e-15
     assert abs(budget - EPS_STAR_FALLBACK) <= 1e-12
     d = kl_region_vs_product(region, t)
     assert abs(d - D_FALLBACK_FIXTURE) <= 1e-12
-    assert ok  # 0.749 bits/dim against a 3.669 budget
+    # 0.749 bits/dim against a 3.669 budget
+    assert analyze_region(region, t).bound_satisfied
 
 
 def test_analysis_report_is_consistent():

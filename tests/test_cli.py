@@ -1,9 +1,15 @@
 """End-to-end command line runs against temp directories."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lqn.continuous
 from lqn import analyze_region, build_ml_partition, sample_generator, validate_region
@@ -12,7 +18,13 @@ from lqn.io import load_json, load_marginals_csv, load_region_csv
 
 
 def run(args):
-    return main([str(a) for a in args])
+    """main on args; a successful run must leave no temp file in its out-dir."""
+    argv = [str(a) for a in args]
+    code = main(argv)
+    if code == 0 and "--out-dir" in argv:
+        out = Path(argv[argv.index("--out-dir") + 1])
+        assert not list(out.rglob("*.tmp"))
+    return code
 
 
 def uniform3_file(tmp_path):
@@ -139,9 +151,17 @@ def test_exit_code_2_on_bad_inputs(tmp_path):
 def test_exit_code_3_on_enumeration_cap(tmp_path, monkeypatch):
     out = tmp_path / "cap"
     base = ["analyze", "--dist", "w3", "--out-dir", out]
-    assert run(base + ["--max-points", 100]) == 3
+    # the cap stops the command before any output directory exists
+    for argv in (
+        base,
+        ["search", "--dist", "w4", "--n", 5, "--k", 1, "--trials", 1, "--out-dir", out],
+        ["continuous", "--dist", "triangle", "--p", 31, "--n", 4, "--out-dir", out],
+    ):
+        assert run(argv + ["--max-points", 100]) == 3
+        assert not out.exists()
     monkeypatch.setenv("LQN_MAX_POINTS", "100")
     assert run(base) == 3
+    assert not out.exists()
     # an explicit flag wins over the environment
     assert run(base + ["--max-points", 10_000_000]) == 0
 
@@ -266,3 +286,37 @@ def test_block_length_below_two_is_named(tmp_path, capsys, monkeypatch):
     for argv in BAD_N:
         assert run(argv + ["--out-dir", tmp_path / "out"]) == 2
         assert capsys.readouterr().out == f"error: --n must be at least 2, got {argv[-1]}\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["analyze", "search", "bounds", "continuous"]),
+    dist=st.sampled_from(["w3", "uniform3"]),
+    p=st.integers(2, 7),
+    n=st.integers(0, 4),
+    k=st.none() | st.integers(0, 3),
+    trials=st.integers(0, 2),
+    max_points=st.none() | st.sampled_from([0, 10, 100, 10_000]),
+)
+def test_argument_validation_property(command, dist, p, n, k, trials, max_points):
+    """Any tiny argument mix exits 0, 2 or 3; a refusal is one line and writes nothing."""
+    stdout = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(stdout):
+        tmp = Path(tmp)
+        if command == "continuous":
+            argv = ["continuous", "--dist", "triangle", "--p", p]
+        else:
+            argv = [command, "--dist", uniform3_file(tmp) if dist == "uniform3" else dist]
+        argv += ["--n", n, "--out-dir", tmp / "out"]
+        if k is not None:
+            argv += ["--k", k]
+        if command in ("search", "bounds"):
+            argv += ["--trials", trials]
+        if max_points is not None:
+            argv += ["--max-points", max_points]
+        code = run(argv)
+        assert code in (0, 2, 3)
+        if code:
+            assert not (tmp / "out").exists()
+            lines = stdout.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")

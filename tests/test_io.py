@@ -1,13 +1,19 @@
 """File formats: byte-determinism, version gating, and round-trips."""
 
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lqn import (
     ContinuousTarget,
     DimensionMismatchError,
+    FundamentalRegion,
     analyze_region,
     build_ml_partition,
     make_code,
@@ -136,3 +142,82 @@ def test_load_distribution_file(tmp_path):
     bad.write_text(json.dumps({"type": "gaussian"}))
     with pytest.raises(DimensionMismatchError):
         load_distribution_file(bad)
+
+
+def oracle_cell(v) -> str:
+    """The per-cell formatting the CSV writers must reproduce byte for byte."""
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(int(v)) if isinstance(v, (int, np.integer)) else str(v)
+
+
+def oracle_csv(header, rows) -> bytes:
+    lines = [f"# schema_version={SCHEMA_VERSION}", ",".join(header)]
+    lines += [",".join(oracle_cell(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+# where repr changes notation (1e-4, 1e16), subnormals, zero and a repeating binary
+EDGE_FLOATS = [
+    5e-324,
+    2.225073858507201e-308,
+    2.2250738585072014e-308,
+    0.0,
+    math.nextafter(1e-4, 0.0),
+    1e-4,
+    math.nextafter(1e-4, 1.0),
+    math.nextafter(1e16, 0.0),
+    1e16,
+    math.nextafter(1e16, math.inf),
+    1 / 3,
+]
+FLOATS = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 13]),
+    n=st.integers(2, 6),
+    size=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_region_csv_matches_cell_oracle(p, n, size, seed):
+    rng = np.random.default_rng(seed)
+    reps = rng.integers(0, p, size=(size, n), dtype=np.int64)
+    good = rng.random(size) < 0.5
+    code = make_code(np.eye(1, n, dtype=np.int64), p)
+    region = FundamentalRegion(code, reps, good, "ml", 0.5)
+    header = ["syndrome_index"] + [f"r{i}" for i in range(n)] + ["good"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_region_csv(Path(tmp) / "region.csv", region)
+        rows = ([i, *reps[i], good[i]] for i in range(size))
+        assert path.read_bytes() == oracle_csv(header, rows)
+        idx, back, flags = load_region_csv(path)
+    np.testing.assert_array_equal(idx, np.arange(size))
+    np.testing.assert_array_equal(back, reps)
+    np.testing.assert_array_equal(flags, good)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda c: st.lists(st.lists(FLOATS, min_size=c, max_size=c), min_size=1, max_size=5)
+    )
+)
+@example([EDGE_FLOATS])
+def test_float_csvs_match_cell_oracle(rows):
+    table = np.array(rows, dtype=np.float64)
+    trials = [(t, row[0]) for t, row in enumerate(rows)]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = write_marginals_csv(tmp / "m.csv", table)
+        header = [f"s{j}" for j in range(table.shape[1])]
+        assert path.read_bytes() == oracle_csv(header, table.tolist())
+        back = load_marginals_csv(path)
+        t = write_trials_csv(tmp / "t.csv", trials)
+        assert t.read_bytes() == oracle_csv(["trial", "D_total_bits"], trials)
+    # bit for bit, signed zeros included
+    assert back.dtype == np.float64
+    np.testing.assert_array_equal(back.view(np.int64), table.view(np.int64))

@@ -1,16 +1,10 @@
-"""Exact linear algebra over Z_p: echelon forms and parity checks."""
+"""Exact linear algebra over Z_p, and the parity checks codes derive from it."""
 
 import numpy as np
 import pytest
 
-from lqn import (
-    RankDeficientError,
-    ensure_prime,
-    is_prime,
-    mod_reduce,
-    parity_check,
-    rref,
-)
+import lqn.codes
+from lqn import ensure_prime, is_prime, make_code, mod_reduce, rref, sample_generator
 
 
 def enumerate_rowspace(m, p):
@@ -98,10 +92,10 @@ def test_rref_output_read_only():
 
 def test_parity_check_fixture():
     # G = [1 1] over Z_3: single free column, H = [[2 1]]
-    h = parity_check([[1, 1]], 3)
+    h = make_code([[1, 1]], 3).parity
     assert h.tolist() == [[2, 1]]
 
-    h = parity_check([[1, 0, 2], [0, 1, 1]], 3)
+    h = make_code([[1, 0, 2], [0, 1, 1]], 3).parity
     assert h.tolist() == [[1, 2, 1]]
 
 
@@ -112,7 +106,7 @@ def test_parity_check_annihilates_rowspace():
             g = rng.integers(0, p, size=(2, 5))
             if rref(g, p).rank < 2:
                 continue
-            h = parity_check(g, p)
+            h = make_code(g, p).parity
             assert h.shape == (3, 5)
             assert not (g @ h.T % p).any()
 
@@ -120,7 +114,7 @@ def test_parity_check_annihilates_rowspace():
 def test_parity_check_kernel_is_exactly_the_code():
     # over the whole of Z_p^n, zero syndrome <-> rowspace membership
     for g, p in (([[1, 1]], 3), ([[1, 2, 4]], 5), ([[1, 0, 1], [0, 1, 2]], 3)):
-        h = parity_check(g, p)
+        h = make_code(g, p).parity
         n = np.atleast_2d(g).shape[1]
         space = enumerate_rowspace(g, p)
         grid = np.stack(
@@ -133,7 +127,7 @@ def test_parity_check_kernel_is_exactly_the_code():
 
 def test_parity_check_syndromes_split_space_evenly():
     g, p = [[1, 2, 0, 1]], 3
-    h = parity_check(g, p)
+    h = make_code(g, p).parity
     grid = np.stack(np.unravel_index(np.arange(3**4), (3,) * 4), axis=1)
     s = grid @ h.T % p
     # each of the p**(n-k) syndrome patterns hits exactly p**k vectors
@@ -142,7 +136,21 @@ def test_parity_check_syndromes_split_space_evenly():
     assert (counts == 3).all()
 
 
-def test_parity_check_rejects_rank_deficient():
-    with pytest.raises(RankDeficientError):
-        parity_check([[1, 1], [2, 2]], 3)
+def test_one_rref_per_sampled_code(monkeypatch):
+    # the parity check comes from make_code's own row reduction
+    calls = {"rref": 0, "draws": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(lqn.codes, "rref", counting("rref", lqn.codes.rref))
+    monkeypatch.setattr(lqn.codes, "make_code", counting("draws", lqn.codes.make_code))
+    for seed in range(20):
+        code = sample_generator(seed, 3, 6, 7)
+        assert not (code.generator @ code.parity.T % 7).any()
+    assert calls["rref"] == calls["draws"] >= 20
 
