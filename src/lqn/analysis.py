@@ -16,13 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import MAX_CODEWORDS, draw_full_rank, enumerate_codewords, rate
-from .distributions import (
-    DiscreteTarget,
-    alpha,
-    log2_likelihoods,
-)
-from .errors import TooLargeError
+from .codes import MAX_CODEWORDS, check_cap, draw_full_rank, enumerate_codewords, rate
+from .distributions import DiscreteTarget, alpha, log2_likelihoods, typical
 from .partition import FundamentalRegion
 
 BOUND_TOL = 1e-9
@@ -141,17 +136,14 @@ def estimate_match_probability(
     """
     p = target.p
     eps = 1.0 / n if epsilon is None else float(epsilon)
-    cap = MAX_CODEWORDS if max_codewords is None else int(max_codewords)
-    if p**k > cap:
-        raise TooLargeError(f"{p**k} codewords exceed the cap {cap}")
+    check_cap(p**k, max_codewords, MAX_CODEWORDS, "codewords")
     failures = 0
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
         code = draw_full_rank(rng, k, n, p)
         shift = rng.integers(0, p, size=n, dtype=np.int64)
-        diffs = (-(enumerate_codewords(code, max_codewords=cap) + shift)) % p
-        dev = np.abs(-log2_likelihoods(diffs, target) / n - target.entropy_bits)
-        if not bool((dev <= eps).any()):
+        diffs = (-(enumerate_codewords(code, max_codewords=max_codewords) + shift)) % p
+        if not typical(log2_likelihoods(diffs, target), n, target, eps).any():
             failures += 1
     return MatchabilityEstimate(
         trials=trials,

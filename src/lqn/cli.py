@@ -3,7 +3,8 @@
 Subcommands: analyze, search, sweep-rate, reproduce, bounds, continuous.
 Outputs land in --out-dir as JSON and CSV files with stable bytes: the same
 command with the same seed writes identical files. Exit codes: 0 success,
-2 invalid usage or configuration, 3 enumeration cap exceeded.
+2 invalid usage or configuration, 3 enumeration cap exceeded or a region
+too large to allocate or encode.
 """
 
 from __future__ import annotations
@@ -25,12 +26,7 @@ from .analysis import (
 from .cases import BuiltinCase, builtin_cases, continuous_builtins
 from .codes import rate, sample_generator, select_k
 from .continuous import bin_density, build_continuous, continuous_divergence
-from .distributions import (
-    ContinuousTarget,
-    DiscreteTarget,
-    TypicalityParams,
-    alpha,
-)
+from .distributions import ContinuousTarget, DiscreteTarget, TypicalityParams
 from .errors import LqnError, TooLargeError
 from .partition import build_ml_partition, build_typicality_partition
 
@@ -38,17 +34,16 @@ _BUILDERS = {"ml": build_ml_partition, "typicality": build_typicality_partition}
 
 
 def _max_points(args) -> int | None:
-    if getattr(args, "max_points", None) is not None:
+    if args.max_points is not None:
         return args.max_points
     env = os.environ.get("LQN_MAX_POINTS")
     return int(env) if env else None
 
 
 def _typ_params(n: int, args) -> TypicalityParams:
-    eps = getattr(args, "epsilon_override", None)
-    if eps is None:
+    if args.epsilon_override is None:
         return TypicalityParams.default(n)
-    return TypicalityParams(n=n, epsilon=float(eps))
+    return TypicalityParams(n=n, epsilon=args.epsilon_override)
 
 
 def _resolve_discrete(args) -> tuple[DiscreteTarget, int, int, BuiltinCase | None]:
@@ -56,12 +51,19 @@ def _resolve_discrete(args) -> tuple[DiscreteTarget, int, int, BuiltinCase | Non
     case = builtin_cases().get(args.dist)
     if case is not None:
         return case.target, case.p, case.n if args.n is None else _check_n(args.n), case
-    target = io.load_distribution_file(args.dist)
-    if not isinstance(target, DiscreteTarget):
-        raise LqnError("this command needs a discrete target")
+    target = _file_target(args.dist, DiscreteTarget)
     if args.n is None:
         raise LqnError("--n is required for file targets")
     return target, target.p, _check_n(args.n), None
+
+
+def _file_target(path, kind: type):
+    """A target read from a JSON file; it must be an instance of kind."""
+    target = io.load_distribution_file(path)
+    if not isinstance(target, kind):
+        name = kind.__name__.removesuffix("Target").lower()
+        raise LqnError(f"this command needs a {name} target")
+    return target
 
 
 def _check_n(n: int) -> int:
@@ -83,7 +85,7 @@ def _check_k(k: int, n: int) -> int:
 
 
 def _pick_k(args, case, target, n) -> int:
-    if getattr(args, "k", None) is not None:
+    if args.k is not None:
         return _check_k(args.k, n)
     if case is not None and len(case.k_values) == 1:
         return case.default_k
@@ -95,10 +97,15 @@ def _build_one(seed, trial, k, n, target, criterion, tp, max_points):
     return _BUILDERS[criterion](code, target, tp=tp, max_points=max_points)
 
 
-def _emit_bundle(out_dir: Path, report, region, provenance: dict) -> None:
-    io.write_json(out_dir / "report.json", io.report_payload(report, provenance))
-    io.write_marginals_csv(out_dir / "marginals.csv", report.marginal_distributions)
-    io.write_region_csv(out_dir / "region.csv", region)
+def _emit_bundle(out: Path, region, target, provenance: dict, trial_rows=None):
+    """Analyze region; write report, marginals, region, and trials when given."""
+    report = analyze_region(region, target)
+    io.write_json(out / "report.json", io.report_payload(report, provenance))
+    io.write_marginals_csv(out / "marginals.csv", report.marginal_distributions)
+    io.write_region_csv(out / "region.csv", region)
+    if trial_rows is not None:
+        io.write_trials_csv(out / "trials.csv", trial_rows)
+    return report
 
 
 def _provenance(dist, seed, trial, p, n, k, criterion, tp, **extra) -> dict:
@@ -140,9 +147,8 @@ def cmd_analyze(args) -> int:
     tp = _typ_params(n, args)
     out = Path(args.out_dir)
     region = _build_one(args.seed, 0, k, n, target, args.criterion, tp, _max_points(args))
-    report = analyze_region(region, target)
     prov = _provenance(args.dist, args.seed, 0, p, n, k, args.criterion, tp)
-    _emit_bundle(out, report, region, prov)
+    report = _emit_bundle(out, region, target, prov)
     print(f"D_per_dim={report.D_per_dim!r} bits, wrote {out / 'report.json'}")
     return 0
 
@@ -157,13 +163,11 @@ def cmd_search(args) -> int:
         target, n, k, args.criterion, tp, args.seed, args.trials,
         args.direction, _max_points(args),
     )
-    report = analyze_region(region, target)
     prov = _provenance(
         args.dist, args.seed, t, p, n, k, args.criterion, tp,
         direction=args.direction, trials=args.trials,
     )
-    _emit_bundle(out, report, region, prov)
-    io.write_trials_csv(out / "trials.csv", rows)
+    report = _emit_bundle(out, region, target, prov, rows)
     print(f"best trial {t}: D_total={report.D_total_bits!r} bits")
     return 0
 
@@ -232,27 +236,26 @@ def cmd_reproduce(args) -> int:
     trials = case.trials if args.trials is None else _at_least_one("--trials", args.trials)
     tp = TypicalityParams.default(n)
     out = Path(args.out_dir)
-    max_points = _max_points(args)
+    rows, per_k = _sweep(
+        target, n, case.k_values, case.criterion, tp, seed, trials, _max_points(args)
+    )
+    k = case.default_k
     if len(case.k_values) > 1:
-        rows, per_k = _sweep(
-            target, n, list(case.k_values), case.criterion, tp, seed, trials, max_points
-        )
         k, _ = _emit_sweep(out, args.case, seed, trials, rows, target, n)
-        (t, region, _), trial_rows = per_k[k]
-    else:
-        k = case.default_k
-        (t, region, _), trial_rows = _search(
-            target, n, k, case.criterion, tp, seed, trials, "minimize", max_points
-        )
-    report = analyze_region(region, target)
+    (t, region, _), trial_rows = per_k[k]
     prov = _provenance(
         args.case, seed, t, p, n, k, case.criterion, tp,
         direction="minimize", trials=trials,
     )
-    _emit_bundle(out, report, region, prov)
-    io.write_trials_csv(out / "trials.csv", trial_rows)
+    report = _emit_bundle(out, region, target, prov, trial_rows)
     print(f"{args.case}: k={k}, best trial {t}, D_per_dim={report.D_per_dim!r} bits")
     return 0
+
+
+# The AnalysisReport fields that bounds.json carries.
+_BOUNDS_REPORT_KEYS = (
+    "epsilon", "alpha", "bad_fraction", "eps_star", "D_per_dim", "bound_satisfied",
+)
 
 
 def cmd_bounds(args) -> int:
@@ -263,6 +266,7 @@ def cmd_bounds(args) -> int:
     out = Path(args.out_dir)
     region = _build_one(args.seed, 0, k, n, target, "typicality", tp, _max_points(args))
     report = analyze_region(region, target)
+    rate_bits = rate(k, n, p)
     payload = {
         "kind": "bounds",
         "dist": args.dist,
@@ -270,43 +274,28 @@ def cmd_bounds(args) -> int:
         "p": p,
         "n": n,
         "k": k,
-        "rate_bits": rate(k, n, p),
-        "epsilon": tp.epsilon,
+        "rate_bits": rate_bits,
         "entropy_bits": target.entropy_bits,
-        "alpha": alpha(target),
-        "lemma1_bound": lemma1_bound(n, rate(k, n, p), p, target.entropy_bits, tp.epsilon),
-        "bad_fraction": report.bad_fraction,
-        "eps_star": report.eps_star,
-        "D_per_dim": report.D_per_dim,
-        "bound_satisfied": report.bound_satisfied,
+        "lemma1_bound": lemma1_bound(n, rate_bits, p, target.entropy_bits, tp.epsilon),
+        **{key: getattr(report, key) for key in _BOUNDS_REPORT_KEYS},
         "estimate": None,
     }
     if args.estimate:
         est = estimate_match_probability(
             target, n, k, args.trials, args.seed, epsilon=tp.epsilon
         )
-        payload["estimate"] = {
-            "trials": est.trials,
-            "failures": est.failures,
-            "empirical_failure_rate": est.empirical_failure_rate,
-            "chebyshev_bound": est.chebyshev_bound,
-        }
+        payload["estimate"] = vars(est)
     io.write_json(out / "bounds.json", payload)
     print(f"eps_star={payload['eps_star']!r}, lemma1_bound={payload['lemma1_bound']!r}")
     return 0
 
 
 def cmd_continuous(args) -> int:
-    builtins = continuous_builtins()
-    if args.dist in builtins:
-        target = builtins[args.dist]
-    else:
-        target = io.load_distribution_file(args.dist)
-        if not isinstance(target, ContinuousTarget):
-            raise LqnError("this command needs a continuous target")
+    target = continuous_builtins().get(args.dist)
+    if target is None:
+        target = _file_target(args.dist, ContinuousTarget)
     n = _check_n(args.n)
-    binned = bin_density(target, args.p).binned
-    k = select_k(args.p, n, binned, "closest") if args.k is None else _check_k(args.k, n)
+    k = _pick_k(args, None, bin_density(target, args.p).binned, n)
     tp = _typ_params(n, args)
     out = Path(args.out_dir)
     cc = build_continuous(
@@ -324,18 +313,8 @@ def cmd_continuous(args) -> int:
             "n": n,
             "k": k,
             "criterion": args.criterion,
-            "delta": rep.delta,
-            "eta": rep.eta,
-            "r": rep.r,
-            "spread_penalty_bits": rep.spread_penalty_bits,
-            "D_total_bits": rep.D_total_bits,
-            "D_per_dim": rep.D_per_dim,
-            "bad_fraction": rep.bad_fraction,
-            "epsilon": rep.epsilon,
-            "eps_star": rep.eps_star,
-            "bound_per_dim": rep.bound_per_dim,
-            "bound_satisfied": rep.bound_satisfied,
             "binned_probs": cc.binned.probs,
+            **vars(rep),
         },
     )
     io.write_region_csv(out / "region.csv", cc.region)
@@ -402,7 +381,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TooLargeError as err:
+    except (TooLargeError, MemoryError) as err:
         print(f"error: {err}")
         return 3
     except (LqnError, ValueError, OSError) as err:

@@ -22,6 +22,19 @@ MAX_POINTS = 1 << 24
 RESAMPLE_CAP = 1000
 
 
+def check_cap(count: int, cap: int | None, default: int, what: str) -> None:
+    """Refuse to enumerate count items when it exceeds cap (default when None).
+
+    Counts of 2**63 or more are refused whatever the cap: the lexicographic
+    and syndrome encodings of points are int64.
+    """
+    if count >= 1 << 63:
+        raise TooLargeError(f"{count} {what} overflow the int64 encodings")
+    cap = default if cap is None else int(cap)
+    if count > cap:
+        raise TooLargeError(f"{count} {what} exceed the cap {cap}")
+
+
 @dataclass(frozen=True, eq=False)
 class LinearCode:
     """A full-rank k x n generator over Z_p with its derived parity map."""
@@ -96,10 +109,8 @@ def sample_generator(seed, k: int, n: int, p: int) -> LinearCode:
 
 def enumerate_codewords(code: LinearCode, max_codewords: int | None = None) -> np.ndarray:
     """All p**k codewords, message vectors in lexicographic order, zero row first."""
-    cap = MAX_CODEWORDS if max_codewords is None else int(max_codewords)
     m = code.num_codewords
-    if m > cap:
-        raise TooLargeError(f"{m} codewords exceed the cap {cap}")
+    check_cap(m, max_codewords, MAX_CODEWORDS, "codewords")
     msgs = np.stack(
         np.unravel_index(np.arange(m), (code.p,) * code.k), axis=1
     ).astype(np.int64)

@@ -90,8 +90,8 @@ class TypicalityParams:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise DimensionMismatchError("block length must be at least 1")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
 
     @classmethod
     def default(cls, n: int) -> "TypicalityParams":
@@ -108,13 +108,20 @@ def log2_likelihoods(vectors, target: DiscreteTarget) -> np.ndarray:
     return target.log2_probs[np.asarray(vectors, dtype=np.int64)].sum(axis=-1)
 
 
+def typical(log2_lik, n: int, target: DiscreteTarget, epsilon: float) -> np.ndarray:
+    """Weak typicality from log2-likelihoods: |-(1/n) log2 P(x) - H| <= epsilon.
+
+    Every typicality decision goes through here, so all of them agree bit for bit.
+    """
+    return np.abs(-log2_lik / n - target.entropy_bits) <= epsilon
+
+
 def is_typical(x, target: DiscreteTarget, tp: TypicalityParams) -> bool:
-    """Weak typicality: |empirical surprisal per symbol - H| <= epsilon, inclusive."""
+    """Weak typicality of one vector: |empirical surprisal per symbol - H| <= epsilon."""
     x = mod_reduce(x, target.p)
     if x.ndim != 1 or x.size != tp.n:
         raise DimensionMismatchError(f"expected a length-{tp.n} vector, got {x.shape}")
-    dev = abs(-float(log2_likelihoods(x, target)) / tp.n - target.entropy_bits)
-    return dev <= tp.epsilon
+    return bool(typical(log2_likelihoods(x, target), tp.n, target, tp.epsilon))
 
 
 def typical_pair(x, y, target: DiscreteTarget, tp: TypicalityParams) -> bool:
@@ -171,15 +178,18 @@ def validate_continuous(half_width: float, knots) -> ContinuousTarget:
     )
 
 
-def parse_distribution(obj: dict):
+def parse_distribution(obj):
     """Decode the serialized form of a target distribution.
 
     Discrete: {"type": "discrete", "p": int, "probs": [...]}.
     Continuous: {"type": "continuous", "A": real, "knots": [[x, f], ...]}.
     """
-    kind = obj.get("type")
-    if kind == "discrete":
-        return validate_discrete(obj["probs"], obj["p"])
-    if kind == "continuous":
-        return validate_continuous(obj["A"], obj["knots"])
+    kind = obj.get("type") if isinstance(obj, dict) else None
+    try:
+        if kind == "discrete":
+            return validate_discrete(obj["probs"], obj["p"])
+        if kind == "continuous":
+            return validate_continuous(obj["A"], obj["knots"])
+    except (KeyError, TypeError) as err:
+        raise DimensionMismatchError(f"malformed {kind} distribution: {err!r}") from None
     raise DimensionMismatchError(f"unknown distribution type {kind!r}")

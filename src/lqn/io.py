@@ -54,19 +54,8 @@ def load_json(path) -> dict:
 
 
 def report_payload(report: AnalysisReport, provenance: dict) -> dict:
-    return {
-        "kind": "analysis",
-        "provenance": dict(provenance),
-        "D_total_bits": report.D_total_bits,
-        "D_per_dim": report.D_per_dim,
-        "sum_marginal_D_bits": report.sum_marginal_D_bits,
-        "bad_fraction": report.bad_fraction,
-        "epsilon": report.epsilon,
-        "alpha": report.alpha,
-        "eps_star": report.eps_star,
-        "bound_satisfied": report.bound_satisfied,
-        "marginal_distributions": report.marginal_distributions,
-    }
+    """report.json's body: every AnalysisReport field, its kind and provenance."""
+    return {"kind": "analysis", "provenance": dict(provenance), **vars(report)}
 
 
 def _write_text(path, text: str) -> Path:

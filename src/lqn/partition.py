@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import MAX_POINTS, LinearCode
-from .distributions import DiscreteTarget, TypicalityParams, log2_likelihoods
-from .errors import TooLargeError
+from .codes import MAX_POINTS, LinearCode, check_cap
+from .distributions import DiscreteTarget, TypicalityParams, log2_likelihoods, typical
 from .zplinalg import mod_reduce
 
 
@@ -112,10 +111,8 @@ def _build(
     tp: TypicalityParams,
     max_points: int | None,
 ) -> FundamentalRegion:
-    cap = MAX_POINTS if max_points is None else int(max_points)
     total = code.p**code.n
-    if total > cap:
-        raise TooLargeError(f"{total} points exceed the cap {cap}")
+    check_cap(total, max_points, MAX_POINTS, "points")
     if target.p != code.p:
         raise ValueError("target modulus differs from code modulus")
     n = code.n
@@ -123,15 +120,15 @@ def _build(
     pows = code.p ** np.arange(n - 1, -1, -1, dtype=np.int64)
     enc = _member_encodings(code, pows)
     ll = table[enc]
-    h_bits, eps = target.entropy_bits, tp.epsilon
+    eps = tp.epsilon
     if criterion == "ml":
         pick = enc.min(axis=0, where=ll == ll.max(axis=0), initial=total)
     else:
-        typical = np.abs(-ll / n - h_bits) <= eps
-        pick = enc.min(axis=0, where=typical, initial=total)
-        pick = np.where(typical.any(axis=0), pick, enc.min(axis=0))
+        member_typ = typical(ll, n, target, eps)
+        pick = enc.min(axis=0, where=member_typ, initial=total)
+        pick = np.where(member_typ.any(axis=0), pick, enc.min(axis=0))
     reps = pick[:, None] // pows % code.p
-    good = np.abs(-table[pick] / n - h_bits) <= eps
+    good = typical(table[pick], n, target, eps)
     reps.setflags(write=False)
     good.setflags(write=False)
     return FundamentalRegion(code, reps, good, criterion, eps)
@@ -183,9 +180,7 @@ class RegionCheck:
     counterexample: tuple | None
 
 
-def validate_region(
-    region: FundamentalRegion, *, max_points: int | None = None
-) -> RegionCheck:
+def validate_region(region: FundamentalRegion) -> RegionCheck:
     """Exactly one representative per coset, hence an exact translate tiling.
 
     Checks the cell size p**(n-k) and that representative i lies in coset i.
@@ -193,10 +188,6 @@ def validate_region(
     two checks already prove that the cell's translates cover Z_p^n once.
     """
     code = region.code
-    cap = MAX_POINTS if max_points is None else int(max_points)
-    total = code.p**code.n
-    if total > cap:
-        raise TooLargeError(f"{total} points exceed the cap {cap}")
     expected = code.num_cosets
     if region.reps.shape != (expected, code.n):
         return RegionCheck(False, "cell size", (region.reps.shape, expected))

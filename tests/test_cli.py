@@ -1,6 +1,7 @@
 """End-to-end command line runs against temp directories."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import tempfile
@@ -12,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lqn.continuous
-from lqn import analyze_region, build_ml_partition, sample_generator, validate_region
+from lqn import (
+    ContinuousReport,
+    analyze_region,
+    build_ml_partition,
+    sample_generator,
+    validate_region,
+)
 from lqn.cli import main
 from lqn.io import load_json, load_marginals_csv, load_region_csv
 
@@ -33,6 +40,17 @@ def uniform3_file(tmp_path):
         json.dumps({"type": "discrete", "p": 3, "probs": [1 / 3, 1 / 3, 1 / 3]})
     )
     return path
+
+
+# Target files that are not a well-formed distribution, by name.
+MALFORMED_TARGETS = {
+    "no_probs.json": {"type": "discrete", "p": 3},
+    "list.json": [1, 2],
+    "null_half_width.json": {
+        "type": "continuous", "A": None, "knots": [[-1, 0.5], [1, 0.5]]
+    },
+    "int_knots.json": {"type": "continuous", "A": 1, "knots": 5},
+}
 
 
 def test_analyze_writes_bundle(tmp_path):
@@ -153,11 +171,17 @@ def test_exit_code_3_on_enumeration_cap(tmp_path, monkeypatch):
     base = ["analyze", "--dist", "w3", "--out-dir", out]
     # the cap stops the command before any output directory exists
     for argv in (
-        base,
-        ["search", "--dist", "w4", "--n", 5, "--k", 1, "--trials", 1, "--out-dir", out],
-        ["continuous", "--dist", "triangle", "--p", 31, "--n", 4, "--out-dir", out],
+        base + ["--max-points", 100],
+        ["search", "--dist", "w4", "--n", 5, "--k", 1, "--trials", 1,
+         "--max-points", 100, "--out-dir", out],
+        ["continuous", "--dist", "triangle", "--p", 31, "--n", 4,
+         "--max-points", 100, "--out-dir", out],
+        # 7**20 points pass this cap, but their first array (208 PiB) cannot be allocated
+        base + ["--n", 20, "--max-points", 10**17],
+        # 7**23 points overflow the int64 encodings, whatever the cap
+        base + ["--n", 23, "--max-points", 10**30],
     ):
-        assert run(argv + ["--max-points", 100]) == 3
+        assert run(argv) == 3
         assert not out.exists()
     monkeypatch.setenv("LQN_MAX_POINTS", "100")
     assert run(base) == 3
@@ -213,6 +237,15 @@ def test_continuous_command(tmp_path):
          "--seed", 3, "--out-dir", out]
     ) == 0
     rep = load_json(out / "continuous_report.json")
+    # the command's keys, the binned pmf, and the report's own fields, nothing else;
+    # a new report field must change this test too
+    command = {"kind", "dist", "seed", "p", "n", "k", "criterion"}
+    fields = {f.name for f in dataclasses.fields(ContinuousReport)}
+    assert fields == {
+        "D_total_bits", "D_per_dim", "bad_fraction", "epsilon", "eps_star",
+        "spread_penalty_bits", "bound_per_dim", "bound_satisfied", "delta", "eta", "r",
+    }
+    assert set(rep) == command | {"binned_probs", "schema_version"} | fields
     assert rep["kind"] == "continuous"
     assert rep["delta"] == 0.4
     assert len(rep["binned_probs"]) == 5
@@ -268,10 +301,18 @@ BAD_N = [
         ["continuous", "--dist", "triangle", "--p", 5, "--n", 2, "--k", 0],
         *BAD_N,
         ["continuous", "--dist", "triangle", "--p", 4, "--n", 3, "--k", 1],
+        ["analyze", "--dist", "no_probs.json", "--n", 2],
+        ["analyze", "--dist", "list.json", "--n", 2],
+        ["continuous", "--dist", "null_half_width.json", "--p", 5, "--n", 2],
+        ["continuous", "--dist", "int_knots.json", "--p", 5, "--n", 2],
+        ["analyze", "--dist", "w1", "--epsilon-override", "nan"],
+        ["analyze", "--dist", "w1", "--epsilon-override", "inf"],
     ],
 )
 def test_bad_counts_exit_2_before_any_output(tmp_path, capsys, monkeypatch, argv):
     uniform3_file(tmp_path)
+    for name, obj in MALFORMED_TARGETS.items():
+        (tmp_path / name).write_text(json.dumps(obj))
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
     assert run(argv + ["--out-dir", out]) == 2

@@ -1,5 +1,6 @@
 """File formats: byte-determinism, version gating, and round-trips."""
 
+import dataclasses
 import json
 import math
 import tempfile
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lqn import (
+    AnalysisReport,
     ContinuousTarget,
     DimensionMismatchError,
     FundamentalRegion,
@@ -74,6 +76,13 @@ def test_report_payload_fields():
     region = small_region()
     report = analyze_region(region, P532)
     payload = report_payload(report, {"seed": 5})
+    # report.json is the report's own schema; a new field must change this test too
+    fields = {f.name for f in dataclasses.fields(AnalysisReport)}
+    assert fields == {
+        "D_total_bits", "D_per_dim", "marginal_distributions", "sum_marginal_D_bits",
+        "bad_fraction", "epsilon", "alpha", "eps_star", "bound_satisfied",
+    }
+    assert set(payload) == {"kind", "provenance"} | fields
     assert payload["kind"] == "analysis"
     assert payload["provenance"] == {"seed": 5}
     assert payload["D_total_bits"] == report.D_total_bits

@@ -275,12 +275,6 @@ def test_validate_region_reports_wrong_size():
     assert check.failure == "cell size"
 
 
-def test_validate_region_respects_cap():
-    region = build_ml_partition(C3, P532)
-    with pytest.raises(TooLargeError):
-        validate_region(region, max_points=4)
-
-
 def test_region_arrays_read_only():
     region = build_ml_partition(C3, P532)
     with pytest.raises(ValueError):
