@@ -207,7 +207,7 @@ def _emit_sweep(out: Path, dist, seed, trials, rows, target, n) -> tuple[int, in
             "dist": dist,
             "seed": seed,
             "trials": trials,
-            "rows": [list(r) for r in rows],
+            "rows": rows,
             "argmin_k": argmin_k,
             "predicted_k_closest": predicted,
         },

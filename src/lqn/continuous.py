@@ -204,6 +204,8 @@ def build_continuous(
     max_points: int | None = None,
 ) -> ContinuousConstruction:
     """Bin the density and build the discrete region for the binned pmf."""
+    if criterion not in ("ml", "typicality"):
+        raise ValueError(f"unknown criterion {criterion!r}")
     bins = bin_density(target, p)
     code = sample_generator(seed, k, n, p)
     build = build_ml_partition if criterion == "ml" else build_typicality_partition

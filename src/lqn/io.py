@@ -29,22 +29,18 @@ def _check_version(version: str) -> None:
         raise DimensionMismatchError(f"unsupported schema version {version!r}")
 
 
-def _plain(value):
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
+def _numpy_default(value):
+    """json.dumps hook for numpy; np.float64 is a float, so json writes its repr."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def write_json(path, payload: dict) -> Path:
     body = dict(payload)
     body.setdefault("schema_version", SCHEMA_VERSION)
-    return _write_text(path, json.dumps(_plain(body), sort_keys=True, indent=2) + "\n")
+    text = json.dumps(body, sort_keys=True, indent=2, default=_numpy_default)
+    return _write_text(path, text + "\n")
 
 
 def load_json(path) -> dict:
@@ -81,14 +77,10 @@ def _write_csv(path, header: list[str], rows) -> Path:
 
 def _read_csv(path, dtype) -> np.ndarray:
     """The body of a CSV written by _write_csv, below its header, as one array."""
-    lines = Path(path).read_text().splitlines()
-    version = None
-    for ln in lines:
-        if ln.startswith("#") and "schema_version=" in ln:
-            version = ln.split("schema_version=")[1].strip()
-    _check_version(version)
-    data = [ln for ln in lines if ln and not ln.startswith("#")]
-    return np.array([ln.split(",") for ln in data[1:]], dtype=dtype)
+    with open(path) as fh:
+        head, _, version = fh.readline().partition("schema_version=")
+        _check_version(version.strip() if head == "# " else None)
+        return np.loadtxt(fh, dtype=dtype, delimiter=",", skiprows=1, ndmin=2)
 
 
 def write_region_csv(path, region: FundamentalRegion) -> Path:

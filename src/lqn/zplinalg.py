@@ -6,6 +6,7 @@ exact: reductions and row echelon forms. No floating point.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,11 @@ def is_prime(p: int) -> bool:
 
 
 def ensure_prime(p: int) -> int:
-    p = int(p)
+    """p as a Python int; any non-integer (5.5, "5") or composite is refused."""
+    try:
+        p = operator.index(p)
+    except TypeError:
+        raise ValueError(f"modulus must be an integer, got {p!r}") from None
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
     return p

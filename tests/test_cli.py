@@ -50,6 +50,8 @@ MALFORMED_TARGETS = {
         "type": "continuous", "A": None, "knots": [[-1, 0.5], [1, 0.5]]
     },
     "int_knots.json": {"type": "continuous", "A": 1, "knots": 5},
+    "float_p.json": {"type": "discrete", "p": 5.5, "probs": [0.2] * 5},
+    "str_p.json": {"type": "discrete", "p": "5", "probs": [0.2] * 5},
 }
 
 
@@ -307,6 +309,8 @@ BAD_N = [
         ["continuous", "--dist", "int_knots.json", "--p", 5, "--n", 2],
         ["analyze", "--dist", "w1", "--epsilon-override", "nan"],
         ["analyze", "--dist", "w1", "--epsilon-override", "inf"],
+        ["analyze", "--dist", "float_p.json", "--n", 3],
+        ["analyze", "--dist", "str_p.json", "--n", 3],
     ],
 )
 def test_bad_counts_exit_2_before_any_output(tmp_path, capsys, monkeypatch, argv):

@@ -166,6 +166,11 @@ def test_build_continuous_assembles_consistently():
     assert abs(cc.spread_penalty_bits + math.log2(TRIANGLE_R)) <= 1e-15
 
 
+def test_build_continuous_rejects_unknown_criterion():
+    with pytest.raises(ValueError, match="'ML'"):
+        build_continuous(TRIANGLE, 13, 3, 1, 0, criterion="ML")
+
+
 def test_flat_divergence_collapses_to_discrete():
     # per-bin-constant density: the lifted divergence equals the binned
     # problem's divergence and the spread penalty vanishes

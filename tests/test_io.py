@@ -43,17 +43,49 @@ def small_region():
 
 
 def test_write_json_is_byte_deterministic(tmp_path):
-    payload = {"b": 2.5, "a": {"z": np.float64(0.1), "y": np.arange(3)}}
+    payload = {
+        "b": 2.5,
+        "a": {"z": np.float64(0.1), "y": np.arange(3)},
+        "c": {"i": np.int64(7), "t": np.bool_(True), "m": np.eye(2, dtype=np.int64)},
+        "d": {"row": (1, 0.5)},
+    }
     p1 = write_json(tmp_path / "one.json", payload)
     p2 = write_json(tmp_path / "two.json", payload)
     assert p1.read_bytes() == p2.read_bytes()
-    text = p1.read_text()
-    # keys sorted, schema version injected, trailing newline
-    assert text.index('"a"') < text.index('"b"')
-    assert text.endswith("\n")
-    obj = json.loads(text)
-    assert obj["schema_version"] == SCHEMA_VERSION
-    assert obj["a"]["y"] == [0, 1, 2]
+    # keys sorted, numpy values as plain JSON, schema version injected, trailing newline
+    assert p1.read_text() == f"""{{
+  "a": {{
+    "y": [
+      0,
+      1,
+      2
+    ],
+    "z": 0.1
+  }},
+  "b": 2.5,
+  "c": {{
+    "i": 7,
+    "m": [
+      [
+        1,
+        0
+      ],
+      [
+        0,
+        1
+      ]
+    ],
+    "t": true
+  }},
+  "d": {{
+    "row": [
+      1,
+      0.5
+    ]
+  }},
+  "schema_version": "{SCHEMA_VERSION}"
+}}
+"""
 
 
 def test_load_json_gates_major_version(tmp_path):
@@ -104,11 +136,19 @@ def test_region_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(good, region.good_flags)
 
 
-def test_region_csv_rejects_other_major(tmp_path):
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda lines: [lines[0].replace("schema_version=1", "schema_version=2")] + lines[1:],
+        lambda lines: lines[1:],
+        lambda lines: [lines[1], lines[0]] + lines[2:],
+    ],
+    ids=["major-2", "no-version", "version-below-header"],
+)
+def test_region_csv_rejects_other_major(tmp_path, edit):
     region = small_region()
     path = write_region_csv(tmp_path / "region.csv", region)
-    body = path.read_text().replace("schema_version=1", "schema_version=2")
-    path.write_text(body)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     with pytest.raises(DimensionMismatchError):
         load_region_csv(path)
 
