@@ -86,6 +86,9 @@ def test_write_json_is_byte_deterministic(tmp_path):
   "schema_version": "{SCHEMA_VERSION}"
 }}
 """
+    with pytest.raises(TypeError, match="set"):
+        write_json(tmp_path / "bad.json", {"x": {1, 2}})
+    assert not (tmp_path / "bad.json").exists()
 
 
 def test_load_json_gates_major_version(tmp_path):
