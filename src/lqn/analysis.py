@@ -23,11 +23,15 @@ from .partition import FundamentalRegion
 BOUND_TOL = 1e-9
 
 
+def divergence_bits(rep_ll: np.ndarray) -> float:
+    """D(uniform on a cell || product target) in bits, from its reps' log2 P."""
+    size = rep_ll.shape[0]
+    return float(-math.log2(size) - float(rep_ll.sum()) / size)
+
+
 def kl_region_vs_product(region: FundamentalRegion, target: DiscreteTarget) -> float:
     """D(uniform on the cell || n-fold product of the target), in bits."""
-    ll = log2_likelihoods(region.reps, target)
-    size = region.size
-    return float(-math.log2(size) - float(ll.sum()) / size)
+    return divergence_bits(log2_likelihoods(region.reps, target))
 
 
 def marginals(region: FundamentalRegion) -> np.ndarray:

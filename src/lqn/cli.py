@@ -19,8 +19,8 @@ import numpy as np
 from . import io
 from .analysis import (
     analyze_region,
+    divergence_bits,
     estimate_match_probability,
-    kl_region_vs_product,
     lemma1_bound,
 )
 from .cases import BuiltinCase, builtin_cases, continuous_builtins
@@ -28,7 +28,7 @@ from .codes import rate, sample_generator, select_k
 from .continuous import bin_density, build_continuous, continuous_divergence
 from .distributions import ContinuousTarget, DiscreteTarget, TypicalityParams
 from .errors import LqnError, TooLargeError
-from .partition import build_ml_partition, build_typicality_partition
+from .partition import build_ml_partition, build_typicality_partition, choose
 
 _BUILDERS = {"ml": build_ml_partition, "typicality": build_typicality_partition}
 
@@ -123,22 +123,25 @@ def _provenance(dist, seed, trial, p, n, k, criterion, tp, **extra) -> dict:
     }
 
 
-def _search(target, n, k, criterion, tp, seed, trials, direction, max_points):
-    """Best-of-trials (trial, region, D_total_bits); ties keep the earliest trial.
-
-    Trials are ranked by kl_region_vs_product, the D_total_bits that
-    analyze_region reports, so callers analyze only the winning region.
-    """
-    better = (lambda a, b: a < b) if direction == "minimize" else (lambda a, b: a > b)
-    best = None
+def _search(target, n, k, criterion, tp, seed, trials, max_points):
+    """(trial, D_total_bits) rows, scored without building a region; each D is,
+    bit for bit, what analyze_region reports for _build_one(seed, trial, ...)."""
     rows = []
     for t in range(trials):
-        region = _build_one(seed, t, k, n, target, criterion, tp, max_points)
-        d = kl_region_vs_product(region, target)
-        rows.append((t, d))
-        if best is None or better(d, best[2]):
-            best = (t, region, d)
-    return best, rows
+        code = sample_generator((seed, t), k, n, target.p)
+        _, ll = choose(code, target, criterion, tp.epsilon, max_points)
+        rows.append((t, divergence_bits(ll)))
+    return rows
+
+
+def _emit_best(out, dist, rows, direction, seed, k, n, target, criterion, tp, max_points):
+    """Rebuild the first smallest (or largest) D of rows from its seed; emit it."""
+    t = (min if direction == "minimize" else max)(rows, key=lambda r: r[1])[0]
+    region = _build_one(seed, t, k, n, target, criterion, tp, max_points)
+    prov = _provenance(
+        dist, seed, t, target.p, n, k, criterion, tp, direction=direction, trials=len(rows)
+    )
+    return t, _emit_bundle(out, region, target, prov, rows)
 
 
 def cmd_analyze(args) -> int:
@@ -154,20 +157,16 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_search(args) -> int:
-    target, p, n, case = _resolve_discrete(args)
+    target, _, n, case = _resolve_discrete(args)
     k = _pick_k(args, case, target, n)
     _at_least_one("--trials", args.trials)
     tp = _typ_params(n, args)
-    out = Path(args.out_dir)
-    (t, region, _), rows = _search(
-        target, n, k, args.criterion, tp, args.seed, args.trials,
-        args.direction, _max_points(args),
+    max_points = _max_points(args)
+    rows = _search(target, n, k, args.criterion, tp, args.seed, args.trials, max_points)
+    t, report = _emit_best(
+        Path(args.out_dir), args.dist, rows, args.direction,
+        args.seed, k, n, target, args.criterion, tp, max_points,
     )
-    prov = _provenance(
-        args.dist, args.seed, t, p, n, k, args.criterion, tp,
-        direction=args.direction, trials=args.trials,
-    )
-    report = _emit_bundle(out, region, target, prov, rows)
     print(f"best trial {t}: D_total={report.D_total_bits!r} bits")
     return 0
 
@@ -184,14 +183,9 @@ def _parse_k_range(text: str, n: int) -> list[int]:
 
 
 def _sweep(target, n, ks, criterion, tp, seed, trials, max_points):
-    rows = []
-    per_k = {}
-    for k in ks:
-        best, trial_rows = _search(
-            target, n, k, criterion, tp, seed, trials, "minimize", max_points
-        )
-        rows.append((k, rate(k, n, target.p), best[2] / n))
-        per_k[k] = (best, trial_rows)
+    """Sweep rows (k, R_bits, best D_per_dim), and each k's trial rows."""
+    per_k = {k: _search(target, n, k, criterion, tp, seed, trials, max_points) for k in ks}
+    rows = [(k, rate(k, n, target.p), min(d for _, d in per_k[k]) / n) for k in ks]
     return rows, per_k
 
 
@@ -231,23 +225,19 @@ def cmd_sweep_rate(args) -> int:
 
 def cmd_reproduce(args) -> int:
     case = builtin_cases()[args.case]
-    target, p, n = case.target, case.p, case.n
+    target, n = case.target, case.n
     seed = case.seed if args.seed is None else args.seed
     trials = case.trials if args.trials is None else _at_least_one("--trials", args.trials)
     tp = TypicalityParams.default(n)
     out = Path(args.out_dir)
-    rows, per_k = _sweep(
-        target, n, case.k_values, case.criterion, tp, seed, trials, _max_points(args)
-    )
+    max_points = _max_points(args)
+    rows, per_k = _sweep(target, n, case.k_values, case.criterion, tp, seed, trials, max_points)
     k = case.default_k
     if len(case.k_values) > 1:
         k, _ = _emit_sweep(out, args.case, seed, trials, rows, target, n)
-    (t, region, _), trial_rows = per_k[k]
-    prov = _provenance(
-        args.case, seed, t, p, n, k, case.criterion, tp,
-        direction="minimize", trials=trials,
+    t, report = _emit_best(
+        out, args.case, per_k[k], "minimize", seed, k, n, target, case.criterion, tp, max_points
     )
-    report = _emit_bundle(out, region, target, prov, trial_rows)
     print(f"{args.case}: k={k}, best trial {t}, D_per_dim={report.D_per_dim!r} bits")
     return 0
 

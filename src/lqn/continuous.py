@@ -63,29 +63,13 @@ def _pieces_from_knots(knots) -> list[LinearPiece]:
     return out
 
 
-def _split_at(pieces: list[LinearPiece], t: Fraction) -> list[LinearPiece]:
-    out = []
-    for pc in pieces:
-        if pc.x0 < t < pc.x1:
-            mid = pc.value(t)
-            out.append(LinearPiece(pc.x0, t, pc.y0, mid))
-            out.append(LinearPiece(t, pc.x1, mid, pc.y1))
-        else:
-            out.append(pc)
-    return out
-
-
 def fold_density(target: ContinuousTarget) -> tuple[LinearPiece, ...]:
     """Wrap the density onto [0, 2A): [0, A) stays, [-A, 0) moves up by 2A."""
     a = Fraction(target.half_width)
-    pieces = _split_at(_pieces_from_knots(target.knots), Fraction(0))
-    lower = [pc for pc in pieces if pc.x1 <= 0]
-    upper = [pc for pc in pieces if pc.x0 >= 0]
-    shifted = [
-        LinearPiece(pc.x0 + 2 * a, pc.x1 + 2 * a, pc.y0, pc.y1) for pc in lower
-    ]
-    folded = sorted(upper + shifted, key=lambda pc: pc.x0)
-    return tuple(folded)
+    pieces = _pieces_from_knots(target.knots)
+    lower = _clip(pieces, -a, Fraction(0))
+    shifted = [LinearPiece(pc.x0 + 2 * a, pc.x1 + 2 * a, pc.y0, pc.y1) for pc in lower]
+    return tuple(_clip(pieces, Fraction(0), a) + shifted)
 
 
 def _clip(pieces, lo: Fraction, hi: Fraction) -> list[LinearPiece]:

@@ -58,13 +58,18 @@ def _write_text(path, text: str) -> Path:
     """Write a whole file: to <name>.tmp beside it, then os.replace onto path.
 
     The parent directory is created here, so a command that fails before its
-    first write leaves no output directory behind.
+    first write leaves no output directory behind; a failed write removes its
+    <name>.tmp.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -104,6 +104,35 @@ def _member_encodings(code: LinearCode, pows: np.ndarray) -> np.ndarray:
     return enc
 
 
+def choose(
+    code: LinearCode,
+    target: DiscreteTarget,
+    criterion: str,
+    epsilon: float,
+    max_points: int | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each coset's chosen member encoding and its log2-likelihood, by syndrome.
+
+    The one home of both rules: "ml" is maximum likelihood, anything else the
+    typicality rule; ties go to the smallest, i.e. lexicographically first.
+    """
+    total = code.p**code.n
+    check_cap(total, max_points, MAX_POINTS, "points")
+    if target.p != code.p:
+        raise ValueError("target modulus differs from code modulus")
+    n = code.n
+    table = _likelihood_table(target, n)
+    enc = _member_encodings(code, code.p ** np.arange(n - 1, -1, -1, dtype=np.int64))
+    ll = table[enc]
+    if criterion == "ml":
+        pick = enc.min(axis=0, where=ll == ll.max(axis=0), initial=total)
+    else:
+        member_typ = typical(ll, n, target, epsilon)
+        pick = enc.min(axis=0, where=member_typ, initial=total)
+        pick = np.where(member_typ.any(axis=0), pick, enc.min(axis=0))
+    return pick, table[pick]
+
+
 def _build(
     code: LinearCode,
     target: DiscreteTarget,
@@ -111,27 +140,13 @@ def _build(
     tp: TypicalityParams,
     max_points: int | None,
 ) -> FundamentalRegion:
-    total = code.p**code.n
-    check_cap(total, max_points, MAX_POINTS, "points")
-    if target.p != code.p:
-        raise ValueError("target modulus differs from code modulus")
-    n = code.n
-    table = _likelihood_table(target, n)
-    pows = code.p ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    enc = _member_encodings(code, pows)
-    ll = table[enc]
-    eps = tp.epsilon
-    if criterion == "ml":
-        pick = enc.min(axis=0, where=ll == ll.max(axis=0), initial=total)
-    else:
-        member_typ = typical(ll, n, target, eps)
-        pick = enc.min(axis=0, where=member_typ, initial=total)
-        pick = np.where(member_typ.any(axis=0), pick, enc.min(axis=0))
+    pick, ll = choose(code, target, criterion, tp.epsilon, max_points)
+    pows = code.p ** np.arange(code.n - 1, -1, -1, dtype=np.int64)
     reps = pick[:, None] // pows % code.p
-    good = typical(table[pick], n, target, eps)
+    good = typical(ll, code.n, target, tp.epsilon)
     reps.setflags(write=False)
     good.setflags(write=False)
-    return FundamentalRegion(code, reps, good, criterion, eps)
+    return FundamentalRegion(code, reps, good, criterion, tp.epsilon)
 
 
 def build_ml_partition(

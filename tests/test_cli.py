@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lqn.cli
 import lqn.continuous
 from lqn import (
     ContinuousReport,
@@ -96,6 +97,46 @@ def test_search_direction(tmp_path):
     assert dhi >= dlo
     # the trial table itself is direction-independent
     assert (lo / "trials.csv").read_bytes() == (hi / "trials.csv").read_bytes()
+
+
+def test_search_rebuilds_only_the_first_best_trial(tmp_path, monkeypatch):
+    """Under a uniform target every trial ties at D = k*log2(p), so both
+    directions keep trial 0; scoring a trial builds no region."""
+    builds = []
+    for criterion, build in dict(lqn.cli._BUILDERS).items():
+        def counted(*a, _build=build, **kw):
+            builds.append(1)
+            return _build(*a, **kw)
+        monkeypatch.setitem(lqn.cli._BUILDERS, criterion, counted)
+    dist = uniform3_file(tmp_path)
+    base = ["--dist", dist, "--n", 4, "--seed", 6, "--trials", 5]
+    for direction in ("minimize", "maximize"):
+        out = tmp_path / direction
+        builds.clear()
+        argv = ["search", *base, "--k", 2, "--direction", direction, "--out-dir", out]
+        assert run(argv) == 0
+        assert len(builds) == 1
+        report = load_json(out / "report.json")
+        assert report["provenance"]["trial"] == 0
+        rows = (out / "trials.csv").read_text().splitlines()[2:]
+        assert len(rows) == 5
+        assert {float(row.split(",")[1]) for row in rows} == {report["D_total_bits"]}
+        assert report["D_total_bits"] == pytest.approx(2 * np.log2(3))
+    builds.clear()
+    assert run(["sweep-rate", *base, "--k-range", "1:3", "--out-dir", tmp_path / "sw"]) == 0
+    assert builds == []
+    assert run(["reproduce", "--case", "w3", "--trials", 2, "--out-dir", tmp_path / "w3"]) == 0
+    assert len(builds) == 1
+
+
+def test_failed_write_removes_its_temp_file(tmp_path):
+    out = tmp_path / "x"
+    (out / "region.csv").mkdir(parents=True)
+    assert run(["analyze", "--dist", "w3", "--k", 2, "--out-dir", out]) == 2
+    assert (out / "region.csv").is_dir()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "marginals.csv", "region.csv", "report.json"
+    ]
 
 
 def test_sweep_rate(tmp_path):

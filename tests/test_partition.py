@@ -17,6 +17,7 @@ from lqn import (
     coset_id,
     coset_ids,
     enumerate_codewords,
+    kl_region_vs_product,
     lattice_contains,
     log2_likelihoods,
     make_code,
@@ -25,6 +26,7 @@ from lqn import (
     validate_discrete,
     validate_region,
 )
+from lqn.analysis import divergence_bits
 
 C3 = make_code([[1, 1]], 3)
 P532 = validate_discrete([0.5, 0.3, 0.2], 3)
@@ -219,6 +221,10 @@ def test_builders_match_brute_force_oracle(p, sizes, seed, uniform):
             reps, good = oracle_region(code, target, criterion, tp)
             assert np.array_equal(region.reps, reps)
             assert np.array_equal(region.good_flags, good)
+            # the score search ranks trials by, with no region built, is the
+            # divergence of the region it would build, bit for bit
+            _, ll = partition.choose(code, target, criterion, tp.epsilon, None)
+            assert divergence_bits(ll) == kl_region_vs_product(region, target)
 
 
 def test_quantize_fixture():
