@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import MAX_CODEWORDS, check_cap, draw_full_rank, enumerate_codewords, rate
+from .codes import MAX_CODEWORDS, check_cap, draw_full_rank, rate
 from .distributions import DiscreteTarget, alpha, log2_likelihoods, typical
 from .partition import FundamentalRegion
 
@@ -128,7 +128,6 @@ def estimate_match_probability(
     seed,
     *,
     epsilon: float | None = None,
-    max_codewords: int | None = None,
 ) -> MatchabilityEstimate:
     """Monte Carlo failure rate of matching the origin with a shifted codebook.
 
@@ -140,13 +139,14 @@ def estimate_match_probability(
     """
     p = target.p
     eps = 1.0 / n if epsilon is None else float(epsilon)
-    check_cap(p**k, max_codewords, MAX_CODEWORDS, "codewords")
+    check_cap(p**k, None, MAX_CODEWORDS, "codewords")
+    msgs = np.indices((p,) * k).reshape(k, p**k).T
     failures = 0
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
         code = draw_full_rank(rng, k, n, p)
         shift = rng.integers(0, p, size=n, dtype=np.int64)
-        diffs = (-(enumerate_codewords(code, max_codewords=max_codewords) + shift)) % p
+        diffs = -(msgs @ code.generator + shift) % p
         if not typical(log2_likelihoods(diffs, target), n, target, eps).any():
             failures += 1
     return MatchabilityEstimate(

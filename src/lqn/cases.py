@@ -32,14 +32,10 @@ from .distributions import (
 class BuiltinCase:
     """A packaged target with its protocol defaults."""
 
-    name: str
-    p: int
     n: int
     k_values: tuple[int, ...]
     target: DiscreteTarget
     seed: int
-    trials: int = 100
-    criterion: str = "ml"
 
     @property
     def default_k(self) -> int:
@@ -76,10 +72,10 @@ def _w4_probs() -> list[float]:
 
 def builtin_cases() -> dict[str, BuiltinCase]:
     return {
-        "w1": BuiltinCase("w1", 37, 2, (1,), validate_discrete(_w1_probs(), 37), seed=11),
-        "w2": BuiltinCase("w2", 37, 2, (1,), validate_discrete(_w2_probs(), 37), seed=12),
-        "w3": BuiltinCase("w3", 7, 6, (1, 2, 3, 4, 5), validate_discrete(_w3_probs(), 7), seed=13),
-        "w4": BuiltinCase("w4", 13, 6, (1,), validate_discrete(_w4_probs(), 13), seed=3),
+        "w1": BuiltinCase(2, (1,), validate_discrete(_w1_probs(), 37), seed=11),
+        "w2": BuiltinCase(2, (1,), validate_discrete(_w2_probs(), 37), seed=12),
+        "w3": BuiltinCase(6, (1, 2, 3, 4, 5), validate_discrete(_w3_probs(), 7), seed=13),
+        "w4": BuiltinCase(6, (1,), validate_discrete(_w4_probs(), 13), seed=3),
     }
 
 

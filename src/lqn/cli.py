@@ -24,7 +24,7 @@ from .analysis import (
     lemma1_bound,
 )
 from .cases import BuiltinCase, builtin_cases, continuous_builtins
-from .codes import rate, sample_generator, select_k
+from .codes import MAX_POINTS, check_cap, rate, sample_generator, select_k
 from .continuous import bin_density, build_continuous, continuous_divergence
 from .distributions import ContinuousTarget, DiscreteTarget, TypicalityParams
 from .errors import LqnError, TooLargeError
@@ -50,7 +50,7 @@ def _resolve_discrete(args) -> tuple[DiscreteTarget, int, int, BuiltinCase | Non
     """Target, modulus, and block length from --dist/--n."""
     case = builtin_cases().get(args.dist)
     if case is not None:
-        return case.target, case.p, case.n if args.n is None else _check_n(args.n), case
+        return case.target, case.target.p, case.n if args.n is None else _check_n(args.n), case
     target = _file_target(args.dist, DiscreteTarget)
     if args.n is None:
         raise LqnError("--n is required for file targets")
@@ -227,16 +227,16 @@ def cmd_reproduce(args) -> int:
     case = builtin_cases()[args.case]
     target, n = case.target, case.n
     seed = case.seed if args.seed is None else args.seed
-    trials = case.trials if args.trials is None else _at_least_one("--trials", args.trials)
+    trials = _at_least_one("--trials", args.trials)
     tp = TypicalityParams.default(n)
     out = Path(args.out_dir)
     max_points = _max_points(args)
-    rows, per_k = _sweep(target, n, case.k_values, case.criterion, tp, seed, trials, max_points)
+    rows, per_k = _sweep(target, n, case.k_values, "ml", tp, seed, trials, max_points)
     k = case.default_k
     if len(case.k_values) > 1:
         k, _ = _emit_sweep(out, args.case, seed, trials, rows, target, n)
     t, report = _emit_best(
-        out, args.case, per_k[k], "minimize", seed, k, n, target, case.criterion, tp, max_points
+        out, args.case, per_k[k], "minimize", seed, k, n, target, "ml", tp, max_points
     )
     print(f"{args.case}: k={k}, best trial {t}, D_per_dim={report.D_per_dim!r} bits")
     return 0
@@ -285,12 +285,15 @@ def cmd_continuous(args) -> int:
     if target is None:
         target = _file_target(args.dist, ContinuousTarget)
     n = _check_n(args.n)
+    max_points = _max_points(args)
+    # build_continuous checks the cap too, but the binned pmf for _pick_k comes first
+    check_cap(args.p**n, max_points, MAX_POINTS, "points")
     k = _pick_k(args, None, bin_density(target, args.p).binned, n)
     tp = _typ_params(n, args)
     out = Path(args.out_dir)
     cc = build_continuous(
         target, args.p, n, k, (args.seed, 0),
-        criterion=args.criterion, tp=tp, max_points=_max_points(args),
+        criterion=args.criterion, tp=tp, max_points=max_points,
     )
     rep = continuous_divergence(cc)
     io.write_json(
@@ -350,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("reproduce", help="run a bundled case end to end")
     sp.add_argument("--case", required=True, choices=("w1", "w2", "w3", "w4"))
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=None)
+    sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--out-dir", default=".")
     sp.add_argument("--max-points", type=int, default=None)
     sp.set_defaults(func=cmd_reproduce)

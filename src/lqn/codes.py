@@ -107,14 +107,12 @@ def sample_generator(seed, k: int, n: int, p: int) -> LinearCode:
     return draw_full_rank(rng, k, n, p)
 
 
-def enumerate_codewords(code: LinearCode, max_codewords: int | None = None) -> np.ndarray:
+def enumerate_codewords(code: LinearCode) -> np.ndarray:
     """All p**k codewords, message vectors in lexicographic order, zero row first."""
-    m = code.num_codewords
-    check_cap(m, max_codewords, MAX_CODEWORDS, "codewords")
-    msgs = np.stack(
-        np.unravel_index(np.arange(m), (code.p,) * code.k), axis=1
-    ).astype(np.int64)
-    return msgs @ code.generator % code.p
+    p, k = code.p, code.k
+    check_cap(code.num_codewords, None, MAX_CODEWORDS, "codewords")
+    msgs = np.indices((p,) * k).reshape(k, p**k).T
+    return msgs @ code.generator % p
 
 
 def lattice_contains(code: LinearCode, y) -> bool:

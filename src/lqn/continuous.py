@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .analysis import BOUND_TOL, eps_star
-from .codes import LinearCode, sample_generator
+from .codes import MAX_POINTS, LinearCode, check_cap, sample_generator
 from .distributions import (
     ContinuousTarget,
     DiscreteTarget,
@@ -144,21 +144,20 @@ def bin_density(target: ContinuousTarget, p: int) -> BinnedDensity:
 
 @dataclass(frozen=True, eq=False)
 class ContinuousConstruction:
-    """A binned target plus the discrete region built for it."""
+    """A binned density plus the discrete region built for its pmf."""
 
-    target: ContinuousTarget
-    p: int
-    delta: Fraction
-    binned: DiscreteTarget
+    bins: BinnedDensity
     code: LinearCode
     region: FundamentalRegion
-    eta: float
-    r: float
+
+    @property
+    def binned(self) -> DiscreteTarget:
+        return self.bins.binned
 
     @property
     def spread_penalty_bits(self) -> float:
         """-log2(r): the per-dimension price of within-bin density variation."""
-        return -math.log2(self.r)
+        return -math.log2(self.bins.r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,20 +189,13 @@ def build_continuous(
     """Bin the density and build the discrete region for the binned pmf."""
     if criterion not in ("ml", "typicality"):
         raise ValueError(f"unknown criterion {criterion!r}")
+    # before the fold, and before trial division tests a huge p for primality
+    check_cap(p**n, max_points, MAX_POINTS, "points")
     bins = bin_density(target, p)
     code = sample_generator(seed, k, n, p)
     build = build_ml_partition if criterion == "ml" else build_typicality_partition
     region = build(code, bins.binned, tp=tp, max_points=max_points)
-    return ContinuousConstruction(
-        target=target,
-        p=p,
-        delta=bins.delta,
-        binned=bins.binned,
-        code=code,
-        region=region,
-        eta=bins.eta,
-        r=bins.r,
-    )
+    return ContinuousConstruction(bins, code, region)
 
 
 def continuous_divergence(cc: ContinuousConstruction) -> ContinuousReport:
@@ -213,15 +205,15 @@ def continuous_divergence(cc: ContinuousConstruction) -> ContinuousReport:
     the per-bin average of log2(density). The reported ceiling adds the
     within-bin spread penalty to the discrete divergence budget.
     """
-    region = cc.region
+    region, bins = cc.region, cc.bins
     n = region.code.n
-    per_rep = bin_density(cc.target, cc.p).mean_log2[region.reps].sum(axis=1)
+    per_rep = bins.mean_log2[region.reps].sum(axis=1)
     d = (
-        -n * math.log2(float(cc.delta))
+        -n * math.log2(float(bins.delta))
         - math.log2(region.size)
         - float(per_rep.sum()) / region.size
     )
-    bf, budget = eps_star(region, cc.binned)
+    bf, budget = eps_star(region, bins.binned)
     penalty = cc.spread_penalty_bits
     bound = budget + penalty
     return ContinuousReport(
@@ -233,9 +225,9 @@ def continuous_divergence(cc: ContinuousConstruction) -> ContinuousReport:
         spread_penalty_bits=penalty,
         bound_per_dim=bound,
         bound_satisfied=bool(d / n <= bound + BOUND_TOL),
-        delta=float(cc.delta),
-        eta=cc.eta,
-        r=cc.r,
+        delta=float(bins.delta),
+        eta=bins.eta,
+        r=bins.r,
     )
 
 

@@ -18,7 +18,7 @@ from .errors import (
     NotNormalizedError,
     NotPermissibleError,
 )
-from .zplinalg import ensure_prime, mod_reduce
+from .zplinalg import as_integer, ensure_prime, mod_reduce
 
 SUM_TOL = 1e-9
 INTEGRAL_TOL = 1e-6
@@ -37,15 +37,17 @@ class DiscreteTarget:
 
 
 def validate_discrete(probs, p: int) -> DiscreteTarget:
-    """Check length, positivity, and normalization; cache derived quantities.
+    """Check length, primality, positivity, and normalization; cache derived quantities.
 
+    The length is compared first, so a huge p is refused before trial division.
     Entropy is accumulated per symbol in index order so repeated runs produce
     bit-identical values.
     """
-    p = ensure_prime(p)
+    p = as_integer(p)
     arr = np.asarray(probs, dtype=np.float64)
     if arr.ndim != 1 or arr.size != p:
         raise DimensionMismatchError(f"expected {p} masses, got shape {arr.shape}")
+    ensure_prime(p)
     if not np.all(arr > 0.0):
         raise NotPermissibleError("every mass must be strictly positive")
     total = math.fsum(arr.tolist())

@@ -24,12 +24,17 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def ensure_prime(p: int) -> int:
-    """p as a Python int; any non-integer (5.5, "5") or composite is refused."""
+def as_integer(p) -> int:
+    """p as a Python int; any non-integer (5.5, "5") is refused."""
     try:
-        p = operator.index(p)
+        return operator.index(p)
     except TypeError:
         raise ValueError(f"modulus must be an integer, got {p!r}") from None
+
+
+def ensure_prime(p: int) -> int:
+    """p as a Python int; any non-integer or composite is refused."""
+    p = as_integer(p)
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
     return p

@@ -157,7 +157,7 @@ def test_criterion_06_marginal_chain_rule():
     fixtures = []
     for name, k in (("w1", 1), ("w3", 2), ("w4", 1)):
         case = builtin_cases()[name]
-        code = sample_generator((case.seed, 0), k, case.n, case.p)
+        code = sample_generator((case.seed, 0), k, case.n, case.target.p)
         fixtures.append((build_ml_partition(code, case.target), case.target))
     for probs in ([0.5, 0.3, 0.2], [0.9, 0.05, 0.05]):
         target = validate_discrete(probs, 3)

@@ -5,16 +5,19 @@ import math
 import numpy as np
 import pytest
 
+import lqn.analysis
 from lqn import (
     FundamentalRegion,
     TooLargeError,
     analyze_region,
     build_ml_partition,
     build_typicality_partition,
+    enumerate_codewords,
     estimate_match_probability,
     eps_star,
     kl_region_vs_product,
     lemma1_bound,
+    log2_likelihoods,
     make_code,
     marginals,
     rate,
@@ -24,6 +27,8 @@ from lqn import (
     uniform_target,
     validate_discrete,
 )
+from lqn.codes import draw_full_rank
+from lqn.distributions import typical
 
 C3 = make_code([[1, 1]], 3)
 P532 = validate_discrete([0.5, 0.3, 0.2], 3)
@@ -192,8 +197,49 @@ def test_estimator_is_deterministic_and_capped():
     a = estimate_match_probability(t, 6, 1, 40, 5)
     b = estimate_match_probability(t, 6, 1, 40, 5)
     assert a == b
+    # 37**5 messages exceed MAX_CODEWORDS = 2**22
     with pytest.raises(TooLargeError):
-        estimate_match_probability(t, 6, 2, 10, 5, max_codewords=8)
+        estimate_match_probability(uniform_target(37), 6, 5, 10, 5)
+
+
+def _oracle_failures(target, n, k, trials, seed):
+    """Per-trial reference: fresh substream, full enumeration, shifted differences."""
+    failures = 0
+    for t in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
+        code = draw_full_rank(rng, k, n, target.p)
+        shift = rng.integers(0, target.p, size=n, dtype=np.int64)
+        diffs = (-(enumerate_codewords(code) + shift)) % target.p
+        if not typical(log2_likelihoods(diffs, target), n, target, 1.0 / n).any():
+            failures += 1
+    return failures
+
+
+@pytest.mark.parametrize(
+    "probs, n, k, seed",
+    [
+        ([0.6, 0.25, 0.15], 6, 1, 5),
+        ([0.6, 0.25, 0.15], 6, 2, 17),
+        ([0.9, 0.05, 0.05], 8, 1, 99),
+        ([0.05, 0.6, 0.05, 0.05, 0.15, 0.05, 0.05], 6, 2, 3),
+        ([0.7, 0.1, 0.1, 0.05, 0.05], 5, 2, 8),
+    ],
+)
+def test_estimator_matches_per_trial_oracle(monkeypatch, probs, n, k, seed):
+    target = validate_discrete(probs, len(probs))
+    caps = []
+    check_cap = lqn.analysis.check_cap
+
+    def counting_cap(*args):
+        caps.append(args)
+        return check_cap(*args)
+
+    monkeypatch.setattr(lqn.analysis, "check_cap", counting_cap)
+    est = estimate_match_probability(target, n, k, 60, seed)
+    assert len(caps) == 1
+    assert 0 < est.failures < 60
+    assert est.failures == _oracle_failures(target, n, k, 60, seed)
+    assert est.empirical_failure_rate == est.failures / 60
 
 
 def test_ensemble_mean_divergence_improves_with_block_length():

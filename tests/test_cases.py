@@ -10,21 +10,17 @@ H_W3 = 1.9332062193464952
 def test_case_bank_names_and_defaults():
     cases = builtin_cases()
     assert sorted(cases) == ["w1", "w2", "w3", "w4"]
-    for name, case in cases.items():
-        assert case.name == name
-        assert case.criterion == "ml"
-        assert case.trials == 100
+    for case in cases.values():
         assert case.default_k == case.k_values[0]
-        assert case.target.p == case.p
 
 
 def test_case_shapes_and_seeds():
     cases = builtin_cases()
-    assert (cases["w1"].p, cases["w1"].n, cases["w1"].k_values) == (37, 2, (1,))
-    assert (cases["w2"].p, cases["w2"].n, cases["w2"].k_values) == (37, 2, (1,))
-    assert (cases["w3"].p, cases["w3"].n) == (7, 6)
+    assert (cases["w1"].target.p, cases["w1"].n, cases["w1"].k_values) == (37, 2, (1,))
+    assert (cases["w2"].target.p, cases["w2"].n, cases["w2"].k_values) == (37, 2, (1,))
+    assert (cases["w3"].target.p, cases["w3"].n) == (7, 6)
     assert cases["w3"].k_values == (1, 2, 3, 4, 5)
-    assert (cases["w4"].p, cases["w4"].n, cases["w4"].k_values) == (13, 6, (1,))
+    assert (cases["w4"].target.p, cases["w4"].n, cases["w4"].k_values) == (13, 6, (1,))
     seeds = {name: case.seed for name, case in cases.items()}
     assert seeds == {"w1": 11, "w2": 12, "w3": 13, "w4": 3}
 

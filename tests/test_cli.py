@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import lqn.cli
 import lqn.continuous
+import lqn.distributions
 from lqn import (
     ContinuousReport,
     analyze_region,
@@ -312,6 +313,44 @@ def test_continuous_command_folds_once(tmp_path, monkeypatch):
         ["continuous", "--dist", "triangle", "--p", 7, "--n", 3, "--out-dir", tmp_path]
     ) == 0
     assert len(calls) == 1
+
+
+def _refuse(*args):
+    raise AssertionError(f"reached with {args!r}")
+
+
+@pytest.mark.parametrize("p", [1000003, 2305843009213693951])
+def test_capped_continuous_folds_nothing(tmp_path, capsys, monkeypatch, p):
+    # p**2 is over MAX_POINTS, or over the int64 encodings; the cap comes before
+    # the fold and before the trial-division primality test
+    monkeypatch.setattr(lqn.continuous, "fold_density", _refuse)
+    monkeypatch.setattr(lqn.continuous, "ensure_prime", _refuse)
+    lqn.continuous.bin_density.cache_clear()
+    out = tmp_path / "out"
+    argv = ["continuous", "--dist", "triangle", "--p", p, "--n", 2, "--k", 1]
+    assert run(argv + ["--out-dir", out]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().out.startswith(f"error: {p**2} points ")
+
+
+def test_huge_modulus_file_is_refused_before_primality(tmp_path, capsys, monkeypatch):
+    # trial division on this 61-bit prime would run for minutes; the bundled
+    # cases still validate their own small moduli
+    huge = 2305843009213693951
+    ensure_prime = lqn.distributions.ensure_prime
+
+    def small_only(p):
+        return _refuse(p) if p == huge else ensure_prime(p)
+
+    monkeypatch.setattr(lqn.distributions, "ensure_prime", small_only)
+    path = tmp_path / "huge_p.json"
+    path.write_text(json.dumps({"type": "discrete", "p": huge, "probs": [0.5, 0.5]}))
+    out = tmp_path / "out"
+    assert run(["analyze", "--dist", path, "--n", 2, "--out-dir", out]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == (
+        "error: expected 2305843009213693951 masses, got shape (2,)\n"
+    )
 
 
 def test_continuous_rejects_discrete_target(tmp_path):

@@ -20,6 +20,7 @@ from lqn import (
     validate_discrete,
 )
 from lqn.cases import builtin_cases
+from lqn.codes import MAX_CODEWORDS
 
 RATE_1_2_37 = 2.604726682814475  # log2(37)/2, frozen at 50-digit precision
 
@@ -95,10 +96,11 @@ def test_enumerate_codewords_order_and_closure():
 
 
 def test_enumerate_codewords_cap():
-    code = make_code([[1, 0, 2], [0, 1, 1]], 3)
+    # 37**5 codewords exceed MAX_CODEWORDS = 2**22
+    code = make_code(np.eye(5, 6, dtype=np.int64), 37)
+    assert code.num_codewords > MAX_CODEWORDS
     with pytest.raises(TooLargeError):
-        enumerate_codewords(code, max_codewords=8)
-    assert enumerate_codewords(code, max_codewords=9).shape == (9, 3)
+        enumerate_codewords(code)
 
 
 def test_lattice_contains_wraps_mod_p():

@@ -7,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import lqn.continuous
 from lqn import (
     ContinuousTarget,
     NotPermissibleError,
+    TooLargeError,
     analyze_region,
     bin_density,
     build_continuous,
@@ -158,12 +160,35 @@ def test_piece_log_integral_matches_decimal_oracle(slope):
 
 def test_build_continuous_assembles_consistently():
     cc = build_continuous(TRIANGLE, 13, 3, 1, 7)
-    assert cc.p == 13
-    assert cc.delta == Fraction(2, 13)
+    assert cc.code.p == 13
+    assert cc.bins.delta == Fraction(2, 13)
     assert cc.binned.probs.tolist() == TRIANGLE_BIN_PROBS
     assert cc.region.size == 13**2
-    assert cc.r == TRIANGLE_R
+    assert cc.bins.r == TRIANGLE_R
     assert abs(cc.spread_penalty_bits + math.log2(TRIANGLE_R)) <= 1e-15
+
+
+def test_continuous_divergence_reads_the_construction_bins(monkeypatch):
+    cc = build_continuous(TRIANGLE, 13, 3, 1, 7)
+    want = continuous_divergence(cc)
+
+    def no_binning(target, p):
+        raise AssertionError("continuous_divergence binned the density again")
+
+    monkeypatch.setattr(lqn.continuous, "bin_density", no_binning)
+    assert vars(continuous_divergence(cc)) == vars(want)
+
+
+@pytest.mark.parametrize("p", [1000003, 2305843009213693951])
+def test_build_continuous_checks_point_cap_before_folding(monkeypatch, p):
+    # p**2 is over MAX_POINTS (1000003) or over the int64 encodings (2**61 - 1)
+    def refuse(*args):
+        raise AssertionError("folded or tested primality before the point cap")
+
+    monkeypatch.setattr(lqn.continuous, "fold_density", refuse)
+    monkeypatch.setattr(lqn.continuous, "ensure_prime", refuse)
+    with pytest.raises(TooLargeError):
+        build_continuous(TRIANGLE, p, 2, 1, 0)
 
 
 def test_build_continuous_rejects_unknown_criterion():
@@ -238,7 +263,7 @@ def test_refinement_shrinks_guaranteed_ceiling():
 
 def test_lift_region_scales_cell():
     cc = build_continuous(TRIANGLE, 5, 2, 1, 31)
-    cell = lift_region(cc.region, cc.delta)
+    cell = lift_region(cc.region, cc.bins.delta)
     d = float(Fraction(2, 5))
     assert cell.scale == d
     assert cell.cell_side == d
