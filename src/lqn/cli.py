@@ -10,11 +10,8 @@ too large to allocate or encode.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 from pathlib import Path
-
-import numpy as np
 
 from . import io
 from .analysis import (
@@ -46,15 +43,15 @@ def _typ_params(n: int, args) -> TypicalityParams:
     return TypicalityParams(n=n, epsilon=args.epsilon_override)
 
 
-def _resolve_discrete(args) -> tuple[DiscreteTarget, int, int, BuiltinCase | None]:
-    """Target, modulus, and block length from --dist/--n."""
+def _resolve_discrete(args) -> tuple[DiscreteTarget, int, BuiltinCase | None]:
+    """Target and block length from --dist/--n."""
     case = builtin_cases().get(args.dist)
     if case is not None:
-        return case.target, case.target.p, case.n if args.n is None else _check_n(args.n), case
+        return case.target, case.n if args.n is None else _check_n(args.n), case
     target = _file_target(args.dist, DiscreteTarget)
     if args.n is None:
         raise LqnError("--n is required for file targets")
-    return target, target.p, _check_n(args.n), None
+    return target, _check_n(args.n), None
 
 
 def _file_target(path, kind: type):
@@ -92,14 +89,24 @@ def _pick_k(args, case, target, n) -> int:
     return select_k(target.p, n, target, "closest")
 
 
-def _build_one(seed, trial, k, n, target, criterion, tp, max_points):
-    code = sample_generator((seed, trial), k, n, target.p)
-    return _BUILDERS[criterion](code, target, tp=tp, max_points=max_points)
+def _run_keys(dist, seed, code) -> dict:
+    """The keys that name a run: its target and seed, and the built code's p, n, k."""
+    return {"dist": dist, "seed": seed, "p": code.p, "n": code.n, "k": code.k}
 
 
-def _emit_bundle(out: Path, region, target, provenance: dict, trial_rows=None):
-    """Analyze region; write report, marginals, region, and trials when given."""
+def _emit_bundle(out: Path, dist, seed, trial, region, target, trial_rows=None, **extra):
+    """Analyze region; write report, marginals, region, and trials when given.
+
+    The provenance is read from region, so it names what was built.
+    """
     report = analyze_region(region, target)
+    provenance = {
+        **_run_keys(dist, seed, region.code),
+        "trial": trial,
+        "criterion": region.criterion,
+        "epsilon": region.epsilon,
+        **extra,
+    }
     io.write_json(out / "report.json", io.report_payload(report, provenance))
     io.write_marginals_csv(out / "marginals.csv", report.marginal_distributions)
     io.write_region_csv(out / "region.csv", region)
@@ -108,84 +115,70 @@ def _emit_bundle(out: Path, region, target, provenance: dict, trial_rows=None):
     return report
 
 
-def _provenance(dist, seed, trial, p, n, k, criterion, tp, **extra) -> dict:
-    """What rebuilds the emitted region of analyze, search and reproduce."""
-    return {
-        "dist": dist,
-        "seed": seed,
-        "trial": trial,
-        "p": p,
-        "n": n,
-        "k": k,
-        "criterion": criterion,
-        "epsilon": tp.epsilon,
-        **extra,
-    }
-
-
 def _search(target, n, k, criterion, tp, seed, trials, max_points):
-    """(trial, D_total_bits) rows, scored without building a region; each D is,
-    bit for bit, what analyze_region reports for _build_one(seed, trial, ...)."""
-    rows = []
+    """Each trial's code, and its (trial, D_total_bits) row scored without
+    building a region; each D is, bit for bit, what analyze_region reports for
+    the region built from that code."""
+    codes, rows = [], []
     for t in range(trials):
         code = sample_generator((seed, t), k, n, target.p)
         _, ll = choose(code, target, criterion, tp.epsilon, max_points)
+        codes.append(code)
         rows.append((t, divergence_bits(ll)))
-    return rows
+    return codes, rows
 
 
-def _emit_best(out, dist, rows, direction, seed, k, n, target, criterion, tp, max_points):
-    """Rebuild the first smallest (or largest) D of rows from its seed; emit it."""
+def _emit_best(out, dist, seed, codes, rows, direction, target, criterion, tp, max_points):
+    """Build the first smallest (or largest) D of rows from its code; emit it."""
     t = (min if direction == "minimize" else max)(rows, key=lambda r: r[1])[0]
-    region = _build_one(seed, t, k, n, target, criterion, tp, max_points)
-    prov = _provenance(
-        dist, seed, t, target.p, n, k, criterion, tp, direction=direction, trials=len(rows)
+    region = _BUILDERS[criterion](codes[t], target, tp=tp, max_points=max_points)
+    report = _emit_bundle(
+        out, dist, seed, t, region, target, rows, direction=direction, trials=len(rows)
     )
-    return t, _emit_bundle(out, region, target, prov, rows)
+    return t, report
 
 
 def cmd_analyze(args) -> int:
-    target, p, n, case = _resolve_discrete(args)
+    target, n, case = _resolve_discrete(args)
     k = _pick_k(args, case, target, n)
     tp = _typ_params(n, args)
     out = Path(args.out_dir)
-    region = _build_one(args.seed, 0, k, n, target, args.criterion, tp, _max_points(args))
-    prov = _provenance(args.dist, args.seed, 0, p, n, k, args.criterion, tp)
-    report = _emit_bundle(out, region, target, prov)
+    code = sample_generator((args.seed, 0), k, n, target.p)
+    region = _BUILDERS[args.criterion](code, target, tp=tp, max_points=_max_points(args))
+    report = _emit_bundle(out, args.dist, args.seed, 0, region, target)
     print(f"D_per_dim={report.D_per_dim!r} bits, wrote {out / 'report.json'}")
     return 0
 
 
 def cmd_search(args) -> int:
-    target, _, n, case = _resolve_discrete(args)
+    target, n, case = _resolve_discrete(args)
     k = _pick_k(args, case, target, n)
     _at_least_one("--trials", args.trials)
     tp = _typ_params(n, args)
     max_points = _max_points(args)
-    rows = _search(target, n, k, args.criterion, tp, args.seed, args.trials, max_points)
+    codes, rows = _search(target, n, k, args.criterion, tp, args.seed, args.trials, max_points)
     t, report = _emit_best(
-        Path(args.out_dir), args.dist, rows, args.direction,
-        args.seed, k, n, target, args.criterion, tp, max_points,
+        Path(args.out_dir), args.dist, args.seed, codes, rows, args.direction,
+        target, args.criterion, tp, max_points,
     )
     print(f"best trial {t}: D_total={report.D_total_bits!r} bits")
     return 0
 
 
 def _parse_k_range(text: str, n: int) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        ks = list(range(int(lo), int(hi) + 1))
-    else:
-        ks = [int(text)]
-    if not ks or ks[0] < 1 or ks[-1] >= n:
+    lo, colon, hi = text.partition(":")
+    lo = int(lo)
+    hi = int(hi) if colon else lo
+    # the bounds are checked before the range exists: a huge one is refused, not built
+    if not 1 <= lo <= hi <= n - 1:
         raise LqnError(f"k range {text!r} leaves [1, {n - 1}]")
-    return ks
+    return list(range(lo, hi + 1))
 
 
 def _sweep(target, n, ks, criterion, tp, seed, trials, max_points):
-    """Sweep rows (k, R_bits, best D_per_dim), and each k's trial rows."""
+    """Sweep rows (k, R_bits, best D_per_dim), and each k's codes and trial rows."""
     per_k = {k: _search(target, n, k, criterion, tp, seed, trials, max_points) for k in ks}
-    rows = [(k, rate(k, n, target.p), min(d for _, d in per_k[k]) / n) for k in ks]
+    rows = [(k, rate(k, n, target.p), min(d for _, d in per_k[k][1]) / n) for k in ks]
     return rows, per_k
 
 
@@ -210,7 +203,7 @@ def _emit_sweep(out: Path, dist, seed, trials, rows, target, n) -> tuple[int, in
 
 
 def cmd_sweep_rate(args) -> int:
-    target, p, n, case = _resolve_discrete(args)
+    target, n, case = _resolve_discrete(args)
     ks = _parse_k_range(args.k_range, n)
     _at_least_one("--trials", args.trials)
     tp = _typ_params(n, args)
@@ -235,8 +228,9 @@ def cmd_reproduce(args) -> int:
     k = case.default_k
     if len(case.k_values) > 1:
         k, _ = _emit_sweep(out, args.case, seed, trials, rows, target, n)
+    codes, trial_rows = per_k[k]
     t, report = _emit_best(
-        out, args.case, per_k[k], "minimize", seed, k, n, target, "ml", tp, max_points
+        out, args.case, seed, codes, trial_rows, "minimize", target, "ml", tp, max_points
     )
     print(f"{args.case}: k={k}, best trial {t}, D_per_dim={report.D_per_dim!r} bits")
     return 0
@@ -249,21 +243,19 @@ _BOUNDS_REPORT_KEYS = (
 
 
 def cmd_bounds(args) -> int:
-    target, p, n, case = _resolve_discrete(args)
+    target, n, case = _resolve_discrete(args)
+    p = target.p
     k = select_k(p, n, target, "theorem") if args.k is None else _check_k(args.k, n)
     _at_least_one("--trials", args.trials)
     tp = _typ_params(n, args)
     out = Path(args.out_dir)
-    region = _build_one(args.seed, 0, k, n, target, "typicality", tp, _max_points(args))
+    code = sample_generator((args.seed, 0), k, n, p)
+    region = _BUILDERS["typicality"](code, target, tp=tp, max_points=_max_points(args))
     report = analyze_region(region, target)
     rate_bits = rate(k, n, p)
     payload = {
         "kind": "bounds",
-        "dist": args.dist,
-        "seed": args.seed,
-        "p": p,
-        "n": n,
-        "k": k,
+        **_run_keys(args.dist, args.seed, code),
         "rate_bits": rate_bits,
         "entropy_bits": target.entropy_bits,
         "lemma1_bound": lemma1_bound(n, rate_bits, p, target.entropy_bits, tp.epsilon),
@@ -300,12 +292,8 @@ def cmd_continuous(args) -> int:
         out / "continuous_report.json",
         {
             "kind": "continuous",
-            "dist": args.dist,
-            "seed": args.seed,
-            "p": args.p,
-            "n": n,
-            "k": k,
-            "criterion": args.criterion,
+            **_run_keys(args.dist, args.seed, cc.code),
+            "criterion": cc.region.criterion,
             "binned_probs": cc.binned.probs,
             **vars(rep),
         },
@@ -374,12 +362,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TooLargeError, MemoryError) as err:
-        print(f"error: {err}")
-        return 3
-    except (LqnError, ValueError, OSError) as err:
-        print(f"error: {err}")
-        return 2
+    except (LqnError, ValueError, OSError, MemoryError) as err:
+        # one line, never an empty one: a bare MemoryError has no message
+        print(f"error: {str(err) or type(err).__name__}")
+        return 3 if isinstance(err, (TooLargeError, MemoryError)) else 2
 
 
 if __name__ == "__main__":

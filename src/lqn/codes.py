@@ -78,7 +78,6 @@ def make_code(generator, p: int) -> LinearCode:
     h[np.arange(n - k), free] = 1
     h[:, list(piv)] = (-red.matrix[:, free].T) % p
     h.setflags(write=False)
-    g = g.copy()
     g.setflags(write=False)
     return LinearCode(g, p, k, n, h, piv, free)
 

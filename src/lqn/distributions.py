@@ -8,6 +8,7 @@ outside. All logs are base 2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -156,9 +157,11 @@ def _knot_mass(knots: tuple[tuple[float, float], ...]) -> Fraction:
 def validate_continuous(half_width: float, knots) -> ContinuousTarget:
     """Check the knot list spans [-A, A], stays positive, and integrates to one."""
     a = float(half_width)
-    if a <= 0.0:
-        raise NotPermissibleError("half width must be positive")
+    if not 0.0 < a < math.inf:
+        raise NotPermissibleError(f"half width must be positive and finite, got {a!r}")
     pts = tuple((float(x), float(f)) for x, f in knots)
+    if not all(math.isfinite(v) for pt in pts for v in pt):
+        raise NotPermissibleError("knot positions and values must be finite")
     if len(pts) < 2:
         raise DimensionMismatchError("need at least two knots")
     xs = [x for x, _ in pts]
@@ -170,8 +173,10 @@ def validate_continuous(half_width: float, knots) -> ContinuousTarget:
     if min(vals) <= 0.0:
         raise NotPermissibleError("density must be strictly positive on [-A, A]")
     mass = _knot_mass(pts)
-    if abs(float(mass) - 1.0) > INTEGRAL_TOL:
-        raise NotNormalizedError(f"density integrates to {float(mass)!r}")
+    # compared exactly: finite knots can still have a mass beyond the float range
+    if abs(mass - 1) > INTEGRAL_TOL:
+        shown = float(mass) if mass <= sys.float_info.max else math.inf
+        raise NotNormalizedError(f"density integrates to {shown!r}")
     return ContinuousTarget(
         half_width=a,
         knots=pts,
@@ -192,6 +197,6 @@ def parse_distribution(obj):
             return validate_discrete(obj["probs"], obj["p"])
         if kind == "continuous":
             return validate_continuous(obj["A"], obj["knots"])
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, OverflowError) as err:
         raise DimensionMismatchError(f"malformed {kind} distribution: {err!r}") from None
     raise DimensionMismatchError(f"unknown distribution type {kind!r}")

@@ -125,11 +125,12 @@ def choose(
     enc = _member_encodings(code, code.p ** np.arange(n - 1, -1, -1, dtype=np.int64))
     ll = table[enc]
     if criterion == "ml":
-        pick = enc.min(axis=0, where=ll == ll.max(axis=0), initial=total)
+        mask = ll == ll.max(axis=0)
     else:
-        member_typ = typical(ll, n, target, epsilon)
-        pick = enc.min(axis=0, where=member_typ, initial=total)
-        pick = np.where(member_typ.any(axis=0), pick, enc.min(axis=0))
+        mask = typical(ll, n, target, epsilon)
+        # a coset with no typical member falls back to all of its members
+        mask |= ~mask.any(axis=0)
+    pick = enc.min(axis=0, where=mask, initial=total)
     return pick, table[pick]
 
 

@@ -58,7 +58,7 @@ def rref(m, p: int) -> RrefResult:
     Pivots are scaled to 1 and cleared above and below, columns scanned left
     to right. Returns the canonical form, its rank, and the pivot columns.
     """
-    a = mod_reduce(np.atleast_2d(m), p).copy()
+    a = mod_reduce(np.atleast_2d(m), p)
     rows, cols = a.shape
     r = 0
     pivots: list[int] = []

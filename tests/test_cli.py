@@ -4,6 +4,8 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -54,6 +56,19 @@ MALFORMED_TARGETS = {
     "int_knots.json": {"type": "continuous", "A": 1, "knots": 5},
     "float_p.json": {"type": "discrete", "p": 5.5, "probs": [0.2] * 5},
     "str_p.json": {"type": "discrete", "p": "5", "probs": [0.2] * 5},
+    "inf_knot.json": {
+        "type": "continuous", "A": 1.0, "knots": [[-1, math.inf], [1, 0.5]]
+    },
+    "nan_knot.json": {
+        "type": "continuous", "A": 1.0, "knots": [[-1, math.nan], [1, 0.5]]
+    },
+    # finite knots whose exact mass is beyond the float range
+    "huge_knots.json": {
+        "type": "continuous", "A": 1.0, "knots": [[-1, 1e308], [1, 1e308]]
+    },
+    # JSON integers too large for a float
+    "huge_int_knot.json": {"type": "continuous", "A": 1, "knots": [[-1, 10**400], [1, 1]]},
+    "huge_int_prob.json": {"type": "discrete", "p": 2, "probs": [10**400, 0.5]},
 }
 
 
@@ -102,21 +117,31 @@ def test_search_direction(tmp_path):
 
 def test_search_rebuilds_only_the_first_best_trial(tmp_path, monkeypatch):
     """Under a uniform target every trial ties at D = k*log2(p), so both
-    directions keep trial 0; scoring a trial builds no region."""
-    builds = []
+    directions keep trial 0; scoring a trial builds no region, and the winner
+    is built from the code its trial drew, so each trial draws one code."""
+    builds, draws = [], []
     for criterion, build in dict(lqn.cli._BUILDERS).items():
         def counted(*a, _build=build, **kw):
             builds.append(1)
             return _build(*a, **kw)
         monkeypatch.setitem(lqn.cli._BUILDERS, criterion, counted)
+    sample = lqn.cli.sample_generator
+
+    def counted_sample(*a, **kw):
+        draws.append(1)
+        return sample(*a, **kw)
+
+    monkeypatch.setattr(lqn.cli, "sample_generator", counted_sample)
     dist = uniform3_file(tmp_path)
     base = ["--dist", dist, "--n", 4, "--seed", 6, "--trials", 5]
     for direction in ("minimize", "maximize"):
         out = tmp_path / direction
         builds.clear()
+        draws.clear()
         argv = ["search", *base, "--k", 2, "--direction", direction, "--out-dir", out]
         assert run(argv) == 0
         assert len(builds) == 1
+        assert len(draws) == 5
         report = load_json(out / "report.json")
         assert report["provenance"]["trial"] == 0
         rows = (out / "trials.csv").read_text().splitlines()[2:]
@@ -124,10 +149,15 @@ def test_search_rebuilds_only_the_first_best_trial(tmp_path, monkeypatch):
         assert {float(row.split(",")[1]) for row in rows} == {report["D_total_bits"]}
         assert report["D_total_bits"] == pytest.approx(2 * np.log2(3))
     builds.clear()
+    draws.clear()
     assert run(["sweep-rate", *base, "--k-range", "1:3", "--out-dir", tmp_path / "sw"]) == 0
     assert builds == []
+    assert len(draws) == 15
+    draws.clear()
+    # w3 sweeps k = 1..5 with 2 trials each, then builds one of those codes
     assert run(["reproduce", "--case", "w3", "--trials", 2, "--out-dir", tmp_path / "w3"]) == 0
     assert len(builds) == 1
+    assert len(draws) == 10
 
 
 def test_failed_write_removes_its_temp_file(tmp_path):
@@ -391,6 +421,14 @@ BAD_N = [
         ["analyze", "--dist", "w1", "--epsilon-override", "inf"],
         ["analyze", "--dist", "float_p.json", "--n", 3],
         ["analyze", "--dist", "str_p.json", "--n", 3],
+        ["continuous", "--dist", "inf_knot.json", "--p", 5, "--n", 2],
+        ["continuous", "--dist", "nan_knot.json", "--p", 5, "--n", 2],
+        ["continuous", "--dist", "huge_knots.json", "--p", 5, "--n", 2],
+        ["continuous", "--dist", "huge_int_knot.json", "--p", 5, "--n", 2],
+        ["analyze", "--dist", "huge_int_prob.json", "--n", 2],
+        # bounds past sys.maxsize are refused before any range is built
+        ["sweep-rate", "--dist", "w3", "--n", 3, "--k-range", f"1:{10 * sys.maxsize}"],
+        ["sweep-rate", "--dist", "w3", "--n", 3, "--k-range", f"{sys.maxsize}:{10 * sys.maxsize}"],
     ],
 )
 def test_bad_counts_exit_2_before_any_output(tmp_path, capsys, monkeypatch, argv):
@@ -403,6 +441,15 @@ def test_bad_counts_exit_2_before_any_output(tmp_path, capsys, monkeypatch, argv
     assert not out.exists()
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_a_bare_exception_is_named(capsys, monkeypatch):
+    def out_of_memory(args):
+        raise MemoryError
+
+    monkeypatch.setattr(lqn.cli, "cmd_analyze", out_of_memory)
+    assert main(["analyze", "--dist", "w1"]) == 3
+    assert capsys.readouterr().out == "error: MemoryError\n"
 
 
 def test_block_length_below_two_is_named(tmp_path, capsys, monkeypatch):
