@@ -66,6 +66,7 @@ from .partition import (
     QuantizationResult,
     RegionCheck,
     build_ml_partition,
+    build_region,
     build_typicality_partition,
     coset_id,
     coset_ids,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import MAX_CODEWORDS, check_cap, draw_full_rank, rate
+from .codes import MAX_CODEWORDS, check_cap, draw_full_rank, lex_grid, rate
 from .distributions import DiscreteTarget, alpha, log2_likelihoods, typical
 from .partition import FundamentalRegion
 
@@ -49,8 +49,12 @@ def sum_marginal_kl(region: FundamentalRegion, target: DiscreteTarget) -> float:
     Never exceeds the joint divergence; equality holds when the cell is a
     coordinate box.
     """
+    return _marginal_kl(marginals(region), target)
+
+
+def _marginal_kl(marg: np.ndarray, target: DiscreteTarget) -> float:
     total = 0.0
-    for row in marginals(region):
+    for row in marg:
         for q, lt in zip(row.tolist(), target.log2_probs.tolist()):
             if q > 0.0:
                 total += q * (math.log2(q) - lt)
@@ -63,8 +67,12 @@ def eps_star(region: FundamentalRegion, target: DiscreteTarget) -> tuple[float, 
     Budget per dimension: 3*eps + bad_fraction * (alpha - eps). Callers hold
     their exact per-dimension divergence to it with a BOUND_TOL slack.
     """
+    return _budget(region, alpha(target))
+
+
+def _budget(region: FundamentalRegion, a: float) -> tuple[float, float]:
     bf = 1.0 - float(region.good_flags.mean())
-    return bf, 3.0 * region.epsilon + bf * (alpha(target) - region.epsilon)
+    return bf, 3.0 * region.epsilon + bf * (a - region.epsilon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,15 +93,16 @@ class AnalysisReport:
 def analyze_region(region: FundamentalRegion, target: DiscreteTarget) -> AnalysisReport:
     d = kl_region_vs_product(region, target)
     per_dim = d / region.code.n
-    bf, budget = eps_star(region, target)
+    marg, a = marginals(region), alpha(target)
+    bf, budget = _budget(region, a)
     return AnalysisReport(
         D_total_bits=d,
         D_per_dim=per_dim,
-        marginal_distributions=marginals(region),
-        sum_marginal_D_bits=sum_marginal_kl(region, target),
+        marginal_distributions=marg,
+        sum_marginal_D_bits=_marginal_kl(marg, target),
         bad_fraction=bf,
         epsilon=region.epsilon,
-        alpha=alpha(target),
+        alpha=a,
         eps_star=budget,
         bound_satisfied=bool(per_dim <= budget + BOUND_TOL),
     )
@@ -140,7 +149,7 @@ def estimate_match_probability(
     p = target.p
     eps = 1.0 / n if epsilon is None else float(epsilon)
     check_cap(p**k, None, MAX_CODEWORDS, "codewords")
-    msgs = np.indices((p,) * k).reshape(k, p**k).T
+    msgs = lex_grid(p, k)
     failures = 0
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, t)))

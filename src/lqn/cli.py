@@ -25,16 +25,15 @@ from .codes import MAX_POINTS, check_cap, rate, sample_generator, select_k
 from .continuous import bin_density, build_continuous, continuous_divergence
 from .distributions import ContinuousTarget, DiscreteTarget, TypicalityParams
 from .errors import LqnError, TooLargeError
-from .partition import build_ml_partition, build_typicality_partition, choose
-
-_BUILDERS = {"ml": build_ml_partition, "typicality": build_typicality_partition}
+from .partition import build_region, choose, region_of
 
 
 def _max_points(args) -> int | None:
+    """The point cap from --max-points, else LQN_MAX_POINTS, else None."""
     if args.max_points is not None:
-        return args.max_points
+        return _at_least("--max-points", args.max_points)
     env = os.environ.get("LQN_MAX_POINTS")
-    return int(env) if env else None
+    return _at_least("LQN_MAX_POINTS", env) if env else None
 
 
 def _typ_params(n: int, args) -> TypicalityParams:
@@ -47,11 +46,11 @@ def _resolve_discrete(args) -> tuple[DiscreteTarget, int, BuiltinCase | None]:
     """Target and block length from --dist/--n."""
     case = builtin_cases().get(args.dist)
     if case is not None:
-        return case.target, case.n if args.n is None else _check_n(args.n), case
+        return case.target, case.n if args.n is None else _at_least("--n", args.n, 2), case
     target = _file_target(args.dist, DiscreteTarget)
     if args.n is None:
         raise LqnError("--n is required for file targets")
-    return target, _check_n(args.n), None
+    return target, _at_least("--n", args.n, 2), None
 
 
 def _file_target(path, kind: type):
@@ -63,15 +62,14 @@ def _file_target(path, kind: type):
     return target
 
 
-def _check_n(n: int) -> int:
-    if n < 2:
-        raise LqnError(f"--n must be at least 2, got {n}")
-    return n
-
-
-def _at_least_one(flag: str, value: int) -> int:
-    if value < 1:
-        raise LqnError(f"{flag} must be at least 1, got {value}")
+def _at_least(flag: str, value, low: int = 1) -> int:
+    """value (an int, or the text of one) as an int of at least low."""
+    try:
+        value = int(value)
+    except ValueError:
+        raise LqnError(f"{flag} must be an integer, got {value!r}") from None
+    if value < low:
+        raise LqnError(f"{flag} must be at least {low}, got {value}")
     return value
 
 
@@ -115,27 +113,19 @@ def _emit_bundle(out: Path, dist, seed, trial, region, target, trial_rows=None, 
     return report
 
 
-def _search(target, n, k, criterion, tp, seed, trials, max_points):
-    """Each trial's code, and its (trial, D_total_bits) row scored without
-    building a region; each D is, bit for bit, what analyze_region reports for
-    the region built from that code."""
-    codes, rows = [], []
+def _search(target, n, k, criterion, tp, seed, trials, max_points, direction="minimize"):
+    """Each trial's (trial, D_total_bits) row, scored without building a region,
+    and the (trial, code, pick) of the first smallest (or largest) D; each D is,
+    bit for bit, what analyze_region reports for the region built from its pick."""
+    sign = 1.0 if direction == "minimize" else -1.0
+    rows, best = [], None
     for t in range(trials):
         code = sample_generator((seed, t), k, n, target.p)
-        _, ll = choose(code, target, criterion, tp.epsilon, max_points)
-        codes.append(code)
+        pick, ll = choose(code, target, criterion, tp.epsilon, max_points)
         rows.append((t, divergence_bits(ll)))
-    return codes, rows
-
-
-def _emit_best(out, dist, seed, codes, rows, direction, target, criterion, tp, max_points):
-    """Build the first smallest (or largest) D of rows from its code; emit it."""
-    t = (min if direction == "minimize" else max)(rows, key=lambda r: r[1])[0]
-    region = _BUILDERS[criterion](codes[t], target, tp=tp, max_points=max_points)
-    report = _emit_bundle(
-        out, dist, seed, t, region, target, rows, direction=direction, trials=len(rows)
-    )
-    return t, report
+        if best is None or sign * rows[t][1] < sign * rows[best[0]][1]:
+            best = (t, code, pick)
+    return rows, best
 
 
 def cmd_analyze(args) -> int:
@@ -144,7 +134,7 @@ def cmd_analyze(args) -> int:
     tp = _typ_params(n, args)
     out = Path(args.out_dir)
     code = sample_generator((args.seed, 0), k, n, target.p)
-    region = _BUILDERS[args.criterion](code, target, tp=tp, max_points=_max_points(args))
+    region = build_region(code, target, args.criterion, tp=tp, max_points=_max_points(args))
     report = _emit_bundle(out, args.dist, args.seed, 0, region, target)
     print(f"D_per_dim={report.D_per_dim!r} bits, wrote {out / 'report.json'}")
     return 0
@@ -153,13 +143,16 @@ def cmd_analyze(args) -> int:
 def cmd_search(args) -> int:
     target, n, case = _resolve_discrete(args)
     k = _pick_k(args, case, target, n)
-    _at_least_one("--trials", args.trials)
+    _at_least("--trials", args.trials)
     tp = _typ_params(n, args)
-    max_points = _max_points(args)
-    codes, rows = _search(target, n, k, args.criterion, tp, args.seed, args.trials, max_points)
-    t, report = _emit_best(
-        Path(args.out_dir), args.dist, args.seed, codes, rows, args.direction,
-        target, args.criterion, tp, max_points,
+    rows, (t, code, pick) = _search(
+        target, n, k, args.criterion, tp, args.seed, args.trials, _max_points(args),
+        args.direction,
+    )
+    region = region_of(code, target, args.criterion, tp.epsilon, pick)
+    report = _emit_bundle(
+        Path(args.out_dir), args.dist, args.seed, t, region, target, rows,
+        direction=args.direction, trials=len(rows),
     )
     print(f"best trial {t}: D_total={report.D_total_bits!r} bits")
     return 0
@@ -167,8 +160,11 @@ def cmd_search(args) -> int:
 
 def _parse_k_range(text: str, n: int) -> list[int]:
     lo, colon, hi = text.partition(":")
-    lo = int(lo)
-    hi = int(hi) if colon else lo
+    try:
+        lo = int(lo)
+        hi = int(hi) if colon else lo
+    except ValueError:
+        raise LqnError(f"--k-range must be a:b or one k, got {text!r}") from None
     # the bounds are checked before the range exists: a huge one is refused, not built
     if not 1 <= lo <= hi <= n - 1:
         raise LqnError(f"k range {text!r} leaves [1, {n - 1}]")
@@ -176,9 +172,9 @@ def _parse_k_range(text: str, n: int) -> list[int]:
 
 
 def _sweep(target, n, ks, criterion, tp, seed, trials, max_points):
-    """Sweep rows (k, R_bits, best D_per_dim), and each k's codes and trial rows."""
+    """Sweep rows (k, R_bits, best D_per_dim), and each k's trial rows and best pick."""
     per_k = {k: _search(target, n, k, criterion, tp, seed, trials, max_points) for k in ks}
-    rows = [(k, rate(k, n, target.p), min(d for _, d in per_k[k][1]) / n) for k in ks]
+    rows = [(k, rate(k, n, target.p), min(d for _, d in per_k[k][0]) / n) for k in ks]
     return rows, per_k
 
 
@@ -205,7 +201,7 @@ def _emit_sweep(out: Path, dist, seed, trials, rows, target, n) -> tuple[int, in
 def cmd_sweep_rate(args) -> int:
     target, n, case = _resolve_discrete(args)
     ks = _parse_k_range(args.k_range, n)
-    _at_least_one("--trials", args.trials)
+    _at_least("--trials", args.trials)
     tp = _typ_params(n, args)
     out = Path(args.out_dir)
     rows, _ = _sweep(
@@ -220,17 +216,18 @@ def cmd_reproduce(args) -> int:
     case = builtin_cases()[args.case]
     target, n = case.target, case.n
     seed = case.seed if args.seed is None else args.seed
-    trials = _at_least_one("--trials", args.trials)
+    trials = _at_least("--trials", args.trials)
     tp = TypicalityParams.default(n)
     out = Path(args.out_dir)
-    max_points = _max_points(args)
-    rows, per_k = _sweep(target, n, case.k_values, "ml", tp, seed, trials, max_points)
+    rows, per_k = _sweep(target, n, case.k_values, "ml", tp, seed, trials, _max_points(args))
     k = case.default_k
     if len(case.k_values) > 1:
         k, _ = _emit_sweep(out, args.case, seed, trials, rows, target, n)
-    codes, trial_rows = per_k[k]
-    t, report = _emit_best(
-        out, args.case, seed, codes, trial_rows, "minimize", target, "ml", tp, max_points
+    trial_rows, (t, code, pick) = per_k[k]
+    region = region_of(code, target, "ml", tp.epsilon, pick)
+    report = _emit_bundle(
+        out, args.case, seed, t, region, target, trial_rows,
+        direction="minimize", trials=len(trial_rows),
     )
     print(f"{args.case}: k={k}, best trial {t}, D_per_dim={report.D_per_dim!r} bits")
     return 0
@@ -246,11 +243,11 @@ def cmd_bounds(args) -> int:
     target, n, case = _resolve_discrete(args)
     p = target.p
     k = select_k(p, n, target, "theorem") if args.k is None else _check_k(args.k, n)
-    _at_least_one("--trials", args.trials)
+    _at_least("--trials", args.trials)
     tp = _typ_params(n, args)
     out = Path(args.out_dir)
     code = sample_generator((args.seed, 0), k, n, p)
-    region = _BUILDERS["typicality"](code, target, tp=tp, max_points=_max_points(args))
+    region = build_region(code, target, "typicality", tp=tp, max_points=_max_points(args))
     report = analyze_region(region, target)
     rate_bits = rate(k, n, p)
     payload = {
@@ -276,7 +273,7 @@ def cmd_continuous(args) -> int:
     target = continuous_builtins().get(args.dist)
     if target is None:
         target = _file_target(args.dist, ContinuousTarget)
-    n = _check_n(args.n)
+    n = _at_least("--n", args.n, 2)
     max_points = _max_points(args)
     # build_continuous checks the cap too, but the binned pmf for _pick_k comes first
     check_cap(args.p**n, max_points, MAX_POINTS, "points")

@@ -106,12 +106,15 @@ def sample_generator(seed, k: int, n: int, p: int) -> LinearCode:
     return draw_full_rank(rng, k, n, p)
 
 
+def lex_grid(p: int, m: int) -> np.ndarray:
+    """Every vector of Z_p^m as a row, in lexicographic order, zero row first."""
+    return np.indices((p,) * m).reshape(m, p**m).T
+
+
 def enumerate_codewords(code: LinearCode) -> np.ndarray:
     """All p**k codewords, message vectors in lexicographic order, zero row first."""
-    p, k = code.p, code.k
     check_cap(code.num_codewords, None, MAX_CODEWORDS, "codewords")
-    msgs = np.indices((p,) * k).reshape(k, p**k).T
-    return msgs @ code.generator % p
+    return lex_grid(code.p, code.k) @ code.generator % code.p
 
 
 def lattice_contains(code: LinearCode, y) -> bool:

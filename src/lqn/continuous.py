@@ -31,11 +31,7 @@ from .distributions import (
     validate_discrete,
 )
 from .errors import NotPermissibleError
-from .partition import (
-    FundamentalRegion,
-    build_ml_partition,
-    build_typicality_partition,
-)
+from .partition import FundamentalRegion, build_region
 from .zplinalg import ensure_prime
 
 
@@ -54,19 +50,13 @@ class LinearPiece:
         return self.y0 + (self.y1 - self.y0) * (t - self.x0) / (self.x1 - self.x0)
 
 
-def _pieces_from_knots(knots) -> list[LinearPiece]:
-    out = []
-    for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
-        out.append(
-            LinearPiece(Fraction(x0), Fraction(x1), Fraction(y0), Fraction(y1))
-        )
-    return out
-
-
 def fold_density(target: ContinuousTarget) -> tuple[LinearPiece, ...]:
     """Wrap the density onto [0, 2A): [0, A) stays, [-A, 0) moves up by 2A."""
     a = Fraction(target.half_width)
-    pieces = _pieces_from_knots(target.knots)
+    pieces = [
+        LinearPiece(Fraction(x0), Fraction(x1), Fraction(y0), Fraction(y1))
+        for (x0, y0), (x1, y1) in zip(target.knots, target.knots[1:])
+    ]
     lower = _clip(pieces, -a, Fraction(0))
     shifted = [LinearPiece(pc.x0 + 2 * a, pc.x1 + 2 * a, pc.y0, pc.y1) for pc in lower]
     return tuple(_clip(pieces, Fraction(0), a) + shifted)
@@ -187,14 +177,11 @@ def build_continuous(
     max_points: int | None = None,
 ) -> ContinuousConstruction:
     """Bin the density and build the discrete region for the binned pmf."""
-    if criterion not in ("ml", "typicality"):
-        raise ValueError(f"unknown criterion {criterion!r}")
     # before the fold, and before trial division tests a huge p for primality
     check_cap(p**n, max_points, MAX_POINTS, "points")
     bins = bin_density(target, p)
     code = sample_generator(seed, k, n, p)
-    build = build_ml_partition if criterion == "ml" else build_typicality_partition
-    region = build(code, bins.binned, tp=tp, max_points=max_points)
+    region = build_region(code, bins.binned, criterion, tp=tp, max_points=max_points)
     return ContinuousConstruction(bins, code, region)
 
 

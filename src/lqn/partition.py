@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import MAX_POINTS, LinearCode, check_cap
+from .codes import MAX_POINTS, LinearCode, check_cap, lex_grid
 from .distributions import DiscreteTarget, TypicalityParams, log2_likelihoods, typical
 from .zplinalg import mod_reduce
 
@@ -75,7 +75,7 @@ def _likelihood_table(target: DiscreteTarget, n: int) -> np.ndarray:
     """
     p = target.p
     lead = next(j for j in range(1, n + 1) if p**j >= n)
-    tail = np.indices((p,) * (n - lead)).reshape(n - lead, p ** (n - lead)).T
+    tail = lex_grid(p, n - lead)
     block = np.empty((tail.shape[0], n), dtype=np.int64)
     block[:, lead:] = tail
     table = np.empty((p**lead, tail.shape[0]))
@@ -95,7 +95,7 @@ def _member_encodings(code: LinearCode, pows: np.ndarray) -> np.ndarray:
     """
     p, k = code.p, code.k
     piv = list(code.pivot_cols)
-    msgs = np.indices((p,) * k).reshape(k, p**k).T
+    msgs = lex_grid(p, k)
     shift = msgs @ (-code.parity[:, piv].T % p) % p
     enc = (msgs @ pows[piv])[:, None]
     for i, c in enumerate(code.nonpivot_cols):
@@ -113,9 +113,12 @@ def choose(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each coset's chosen member encoding and its log2-likelihood, by syndrome.
 
-    The one home of both rules: "ml" is maximum likelihood, anything else the
-    typicality rule; ties go to the smallest, i.e. lexicographically first.
+    The one home of both rules: "ml" is maximum likelihood, "typicality" the
+    typicality rule, anything else a ValueError; ties go to the smallest, i.e.
+    lexicographically first.
     """
+    if criterion not in ("ml", "typicality"):
+        raise ValueError(f"unknown criterion {criterion!r}")
     total = code.p**code.n
     check_cap(total, max_points, MAX_POINTS, "points")
     if target.p != code.p:
@@ -134,44 +137,39 @@ def choose(
     return pick, table[pick]
 
 
-def _build(
+def region_of(
+    code: LinearCode, target: DiscreteTarget, criterion: str, epsilon: float, pick: np.ndarray
+) -> FundamentalRegion:
+    """The region whose representatives are the encodings choose picked."""
+    reps = np.column_stack(np.unravel_index(pick, (code.p,) * code.n))
+    good = typical(_likelihood_table(target, code.n)[pick], code.n, target, epsilon)
+    reps.setflags(write=False)
+    good.setflags(write=False)
+    return FundamentalRegion(code, reps, good, criterion, epsilon)
+
+
+def build_region(
     code: LinearCode,
     target: DiscreteTarget,
     criterion: str,
-    tp: TypicalityParams,
-    max_points: int | None,
-) -> FundamentalRegion:
-    pick, ll = choose(code, target, criterion, tp.epsilon, max_points)
-    pows = code.p ** np.arange(code.n - 1, -1, -1, dtype=np.int64)
-    reps = pick[:, None] // pows % code.p
-    good = typical(ll, code.n, target, tp.epsilon)
-    reps.setflags(write=False)
-    good.setflags(write=False)
-    return FundamentalRegion(code, reps, good, criterion, tp.epsilon)
-
-
-def build_ml_partition(
-    code: LinearCode,
-    target: DiscreteTarget,
     *,
     tp: TypicalityParams | None = None,
     max_points: int | None = None,
 ) -> FundamentalRegion:
+    """Select each coset's representative by criterion and build the region."""
+    tp = TypicalityParams.default(code.n) if tp is None else tp
+    pick, _ = choose(code, target, criterion, tp.epsilon, max_points)
+    return region_of(code, target, criterion, tp.epsilon, pick)
+
+
+def build_ml_partition(code, target, *, tp=None, max_points=None) -> FundamentalRegion:
     """Most likely member of each coset; flags still report typicality."""
-    tp = TypicalityParams.default(code.n) if tp is None else tp
-    return _build(code, target, "ml", tp, max_points)
+    return build_region(code, target, "ml", tp=tp, max_points=max_points)
 
 
-def build_typicality_partition(
-    code: LinearCode,
-    target: DiscreteTarget,
-    *,
-    tp: TypicalityParams | None = None,
-    max_points: int | None = None,
-) -> FundamentalRegion:
+def build_typicality_partition(code, target, *, tp=None, max_points=None) -> FundamentalRegion:
     """Lexicographically smallest typical member, falling back to smallest."""
-    tp = TypicalityParams.default(code.n) if tp is None else tp
-    return _build(code, target, "typicality", tp, max_points)
+    return build_region(code, target, "typicality", tp=tp, max_points=max_points)
 
 
 @dataclass(frozen=True, eq=False)

@@ -141,6 +141,25 @@ def test_analysis_report_is_consistent():
     assert rep.bound_satisfied
 
 
+def test_analysis_computes_each_part_once(monkeypatch):
+    t = validate_discrete([0.9, 0.05, 0.05], 3)
+    region = build_typicality_partition(sample_generator(4, 1, 4, 3), t)
+    calls = []
+    for name in ("marginals", "alpha"):
+        def counted(*a, _fn=getattr(lqn.analysis, name), _name=name):
+            calls.append(_name)
+            return _fn(*a)
+        monkeypatch.setattr(lqn.analysis, name, counted)
+    rep = analyze_region(region, t)
+    assert sorted(calls) == ["alpha", "marginals"]
+    monkeypatch.undo()
+    # the parts it passes on give the public functions' values, bit for bit
+    np.testing.assert_array_equal(rep.marginal_distributions, marginals(region))
+    assert rep.sum_marginal_D_bits == sum_marginal_kl(region, t)
+    assert (rep.bad_fraction, rep.eps_star) == eps_star(region, t)
+    assert rep.alpha == lqn.analysis.alpha(t)
+
+
 def test_bound_check_reports_violations_honestly():
     # uniform target with a deliberately oversized rate: D/dim = k log2(p) / n
     # exceeds the 3 eps budget and the flag must say so

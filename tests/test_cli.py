@@ -117,47 +117,39 @@ def test_search_direction(tmp_path):
 
 def test_search_rebuilds_only_the_first_best_trial(tmp_path, monkeypatch):
     """Under a uniform target every trial ties at D = k*log2(p), so both
-    directions keep trial 0; scoring a trial builds no region, and the winner
-    is built from the code its trial drew, so each trial draws one code."""
-    builds, draws = [], []
-    for criterion, build in dict(lqn.cli._BUILDERS).items():
-        def counted(*a, _build=build, **kw):
-            builds.append(1)
-            return _build(*a, **kw)
-        monkeypatch.setitem(lqn.cli._BUILDERS, criterion, counted)
-    sample = lqn.cli.sample_generator
+    directions keep trial 0; each trial draws one code and selects its cell
+    once, and only the winner's pick is turned into a region."""
+    calls = {"choose": [], "region_of": [], "sample_generator": []}
+    for name, log in calls.items():
+        def counted(*a, _fn=getattr(lqn.cli, name), _log=log, **kw):
+            _log.append(a)
+            return _fn(*a, **kw)
+        monkeypatch.setattr(lqn.cli, name, counted)
 
-    def counted_sample(*a, **kw):
-        draws.append(1)
-        return sample(*a, **kw)
+    def counts():
+        out = {name: len(log) for name, log in calls.items()}
+        for log in calls.values():
+            log.clear()
+        return out
 
-    monkeypatch.setattr(lqn.cli, "sample_generator", counted_sample)
     dist = uniform3_file(tmp_path)
     base = ["--dist", dist, "--n", 4, "--seed", 6, "--trials", 5]
     for direction in ("minimize", "maximize"):
         out = tmp_path / direction
-        builds.clear()
-        draws.clear()
         argv = ["search", *base, "--k", 2, "--direction", direction, "--out-dir", out]
         assert run(argv) == 0
-        assert len(builds) == 1
-        assert len(draws) == 5
+        assert counts() == {"choose": 5, "region_of": 1, "sample_generator": 5}
         report = load_json(out / "report.json")
         assert report["provenance"]["trial"] == 0
         rows = (out / "trials.csv").read_text().splitlines()[2:]
         assert len(rows) == 5
         assert {float(row.split(",")[1]) for row in rows} == {report["D_total_bits"]}
         assert report["D_total_bits"] == pytest.approx(2 * np.log2(3))
-    builds.clear()
-    draws.clear()
     assert run(["sweep-rate", *base, "--k-range", "1:3", "--out-dir", tmp_path / "sw"]) == 0
-    assert builds == []
-    assert len(draws) == 15
-    draws.clear()
-    # w3 sweeps k = 1..5 with 2 trials each, then builds one of those codes
+    assert counts() == {"choose": 15, "region_of": 0, "sample_generator": 15}
+    # w3 sweeps k = 1..5 with 2 trials each, then builds the winner of the argmin k
     assert run(["reproduce", "--case", "w3", "--trials", 2, "--out-dir", tmp_path / "w3"]) == 0
-    assert len(builds) == 1
-    assert len(draws) == 10
+    assert counts() == {"choose": 10, "region_of": 1, "sample_generator": 10}
 
 
 def test_failed_write_removes_its_temp_file(tmp_path):
@@ -492,3 +484,40 @@ def test_argument_validation_property(command, dist, p, n, k, trials, max_points
             assert not (tmp / "out").exists()
             lines = stdout.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("k_range", ["1:", "a:b", ":2", "1:2:3", "1.5"])
+def test_malformed_k_range_is_named(tmp_path, capsys, k_range):
+    out = tmp_path / "out"
+    argv = ["sweep-rate", "--dist", "w3", "--k-range", k_range, "--out-dir", out]
+    assert run(argv) == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == f"error: --k-range must be a:b or one k, got {k_range!r}\n"
+
+
+@pytest.mark.parametrize(
+    "flag, env, message",
+    [
+        (-5, None, "--max-points must be at least 1, got -5"),
+        (0, None, "--max-points must be at least 1, got 0"),
+        (None, "0", "LQN_MAX_POINTS must be at least 1, got 0"),
+        (None, "-5", "LQN_MAX_POINTS must be at least 1, got -5"),
+        (None, "abc", "LQN_MAX_POINTS must be an integer, got 'abc'"),
+        (None, "1e6", "LQN_MAX_POINTS must be an integer, got '1e6'"),
+    ],
+)
+def test_bad_point_cap_is_named(tmp_path, capsys, monkeypatch, flag, env, message):
+    if env is not None:
+        monkeypatch.setenv("LQN_MAX_POINTS", env)
+    out = tmp_path / "out"
+    for argv in (
+        ["analyze", "--dist", "w3"],
+        ["search", "--dist", "w1", "--trials", 1],
+        ["reproduce", "--case", "w1", "--trials", 1],
+        ["continuous", "--dist", "triangle", "--p", 5, "--n", 2],
+    ):
+        if flag is not None:
+            argv += ["--max-points", flag]
+        assert run(argv + ["--out-dir", out]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().out == f"error: {message}\n"

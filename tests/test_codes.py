@@ -1,5 +1,6 @@
 """Seeded random codes, codeword enumeration, rates, dimension selection."""
 
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from lqn import (
     validate_discrete,
 )
 from lqn.cases import builtin_cases
-from lqn.codes import MAX_CODEWORDS
+from lqn.codes import MAX_CODEWORDS, lex_grid
 
 RATE_1_2_37 = 2.604726682814475  # log2(37)/2, frozen at 50-digit precision
 
@@ -93,6 +94,13 @@ def test_enumerate_codewords_order_and_closure():
     for a in words[:3]:
         for b in words[:3]:
             assert tuple((a + b) % 3) in seen
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (2, 5), (3, 3), (7, 2), (5, 0)])
+def test_lex_grid_is_itertools_product(p, m):
+    grid = lex_grid(p, m)
+    assert grid.shape == (p**m, m)
+    assert grid.tolist() == [list(v) for v in itertools.product(range(p), repeat=m)]
 
 
 def test_enumerate_codewords_cap():

@@ -13,6 +13,7 @@ from lqn import (
     TooLargeError,
     TypicalityParams,
     build_ml_partition,
+    build_region,
     build_typicality_partition,
     coset_id,
     coset_ids,
@@ -173,6 +174,14 @@ def test_build_rejects_modulus_mismatch():
         build_ml_partition(C3, t5)
 
 
+@pytest.mark.parametrize("criterion", ["ML", "Typicality", "", "lexicographic"])
+def test_unknown_criterion_is_refused(criterion):
+    with pytest.raises(ValueError, match="unknown criterion"):
+        partition.choose(C3, P532, criterion, 0.5, None)
+    with pytest.raises(ValueError, match="unknown criterion"):
+        build_region(C3, P532, criterion)
+
+
 def test_builders_are_deterministic_and_block_independent():
     code = sample_generator(9, 2, 5, 3)
     t = validate_discrete([0.6, 0.25, 0.15], 3)
@@ -223,8 +232,12 @@ def test_builders_match_brute_force_oracle(p, sizes, seed, uniform):
             assert np.array_equal(region.good_flags, good)
             # the score search ranks trials by, with no region built, is the
             # divergence of the region it would build, bit for bit
-            _, ll = partition.choose(code, target, criterion, tp.epsilon, None)
+            pick, ll = partition.choose(code, target, criterion, tp.epsilon, None)
             assert divergence_bits(ll) == kl_region_vs_product(region, target)
+            # the region search builds from the pick it kept is the builder's region
+            kept = partition.region_of(code, target, criterion, tp.epsilon, pick)
+            assert np.array_equal(kept.reps, reps)
+            assert np.array_equal(kept.good_flags, good)
 
 
 def test_quantize_fixture():
