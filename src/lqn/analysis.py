@@ -146,6 +146,8 @@ def estimate_match_probability(
     equivalent to any other point. Per-trial substreams make the tally
     independent of execution order.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     p = target.p
     eps = 1.0 / n if epsilon is None else float(epsilon)
     check_cap(p**k, None, MAX_CODEWORDS, "codewords")

@@ -25,8 +25,8 @@ RESAMPLE_CAP = 1000
 def check_cap(count: int, cap: int | None, default: int, what: str) -> None:
     """Refuse to enumerate count items when it exceeds cap (default when None).
 
-    Counts of 2**63 or more are refused whatever the cap: the lexicographic
-    and syndrome encodings of points are int64.
+    Counts of 2**63 or more are refused whatever the cap: syndrome indices
+    (coset_ids) and the message rows that choose picks are int64.
     """
     if count >= 1 << 63:
         raise TooLargeError(f"{count} {what} overflow the int64 encodings")

@@ -103,12 +103,17 @@ class TypicalityParams:
 
 
 def log2_likelihoods(vectors, target: DiscreteTarget) -> np.ndarray:
-    """Sum of per-symbol log2 masses along the last axis.
+    """Sum of per-symbol log2 masses along the last axis, added left to right.
 
     Shared by the typicality test, the partition builders, and the divergence
-    report, so all of them agree bit for bit on boundary cases.
+    report, so all of them agree bit for bit on boundary cases. The order is
+    fixed here because numpy's own sum pairs terms from eight of them on.
     """
-    return target.log2_probs[np.asarray(vectors, dtype=np.int64)].sum(axis=-1)
+    terms = target.log2_probs[np.asarray(vectors, dtype=np.int64)]
+    total = np.zeros(terms.shape[:-1])
+    for j in range(terms.shape[-1]):
+        total = total + terms[..., j]
+    return total
 
 
 def typical(log2_lik, n: int, target: DiscreteTarget, epsilon: float) -> np.ndarray:

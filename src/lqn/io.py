@@ -45,6 +45,8 @@ def write_json(path, payload: dict) -> Path:
 
 def load_json(path) -> dict:
     obj = json.loads(Path(path).read_text())
+    if not isinstance(obj, dict):
+        raise DimensionMismatchError(f"expected a JSON object, got {type(obj).__name__}")
     _check_version(obj.get("schema_version"))
     return obj
 

@@ -8,19 +8,19 @@ whenever there is one makes the result canonical and never increases the
 count of bad cosets. The maximum-likelihood rule takes the member with the
 largest product mass under the target, ties broken lexicographically.
 
-Both rules read one table of log2-likelihoods over all of Z_p^n, computed
-once per (target, n) by log2_likelihoods itself and kept for the next code,
-so float ties break exactly as a pass over member vectors would. With the
-code in systematic form, the member of coset s with pivot part u has free
-part s + u.A, where A = (-H[:, pivots])^T mod p comes from the parity check
-H. The lexicographic encodings of all members form one (p^k, p^(n-k))
-array, message by syndrome; the table is gathered through it once and each
-rule reduces over the message axis.
+With the code in systematic form, the member of coset s with pivot part u
+has free part s + u.A, where A = (-H[:, pivots])^T mod p comes from the
+parity check H. A codeword's first nonzero coordinate is the pivot of its
+message's first nonzero digit, so within a coset the members are in
+lexicographic order exactly when their pivot parts are, and a first argmax
+over messages breaks ties as a pass over member vectors would. The
+log2-likelihoods of all members form one (p^k, p^(n-k)) array, message by
+syndrome, summed coordinate by coordinate in the order log2_likelihoods
+uses, so both agree bit for bit.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,42 +66,11 @@ def coset_ids(code: LinearCode, ys) -> np.ndarray:
     return s @ pows
 
 
-@functools.lru_cache(maxsize=1)
-def _likelihood_table(target: DiscreteTarget, n: int) -> np.ndarray:
-    """log2 P(x) for every x in Z_p^n, indexed by lexicographic encoding.
-
-    Computed by log2_likelihoods in blocks over the fewest leading coordinates
-    with p**lead >= n, so no block outgrows the table. Targets hash by identity.
-    """
-    p = target.p
-    lead = next(j for j in range(1, n + 1) if p**j >= n)
-    tail = lex_grid(p, n - lead)
-    block = np.empty((tail.shape[0], n), dtype=np.int64)
-    block[:, lead:] = tail
-    table = np.empty((p**lead, tail.shape[0]))
-    for i, head in enumerate(np.ndindex((p,) * lead)):
-        block[:, :lead] = head
-        table[i] = log2_likelihoods(block, target)
-    table = table.ravel()
-    table.setflags(write=False)
-    return table
-
-
-def _member_encodings(code: LinearCode, pows: np.ndarray) -> np.ndarray:
-    """Lexicographic encoding of every point, message by syndrome.
-
-    Entry (u, s) is the member of coset s whose pivot coordinates are u; its
-    free coordinates are s + u.A mod p with A = (-H[:, pivots])^T.
-    """
-    p, k = code.p, code.k
-    piv = list(code.pivot_cols)
-    msgs = lex_grid(p, k)
-    shift = msgs @ (-code.parity[:, piv].T % p) % p
-    enc = (msgs @ pows[piv])[:, None]
-    for i, c in enumerate(code.nonpivot_cols):
-        digit = (np.arange(p) + shift[:, i, None]) % p
-        enc = (enc[:, :, None] + digit[:, None, :] * pows[c]).reshape(p**k, -1)
-    return enc
+def _members(code: LinearCode) -> tuple[np.ndarray, np.ndarray]:
+    """Every message u, in lexicographic order, and its free-part shift u.A mod p."""
+    p = code.p
+    msgs = lex_grid(p, code.k)
+    return msgs, msgs @ (-code.parity[:, list(code.pivot_cols)].T % p) % p
 
 
 def choose(
@@ -111,38 +80,51 @@ def choose(
     epsilon: float,
     max_points: int | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each coset's chosen member encoding and its log2-likelihood, by syndrome.
+    """Each coset's chosen message row and its member's log2-likelihood, by syndrome.
 
     The one home of both rules: "ml" is maximum likelihood, "typicality" the
-    typicality rule, anything else a ValueError; ties go to the smallest, i.e.
-    lexicographically first.
+    typicality rule, anything else a ValueError; ties go to the first message,
+    i.e. the lexicographically first member.
     """
     if criterion not in ("ml", "typicality"):
         raise ValueError(f"unknown criterion {criterion!r}")
-    total = code.p**code.n
-    check_cap(total, max_points, MAX_POINTS, "points")
-    if target.p != code.p:
+    p = code.p
+    check_cap(p**code.n, max_points, MAX_POINTS, "points")
+    if target.p != p:
         raise ValueError("target modulus differs from code modulus")
-    n = code.n
-    table = _likelihood_table(target, n)
-    enc = _member_encodings(code, code.p ** np.arange(n - 1, -1, -1, dtype=np.int64))
-    ll = table[enc]
+    msgs, shift = _members(code)
+    logp = target.log2_probs
+    rows = p**code.k
+    # the last free coordinate writes into sums, allocated first so that a
+    # size that cannot be held fails at once
+    sums = np.empty((rows, p ** (code.n - code.k)))
+    ll = np.zeros((rows, 1))
+    piv, free = code.pivot_cols, code.nonpivot_cols
+    for j in range(code.n):
+        if j in piv:
+            ll += logp[msgs[:, piv.index(j)], None]
+        else:
+            digit = logp[(np.arange(p) + shift[:, free.index(j), None]) % p]
+            grown = sums.reshape(rows, -1, p) if j == free[-1] else None
+            ll = np.add(ll[:, :, None], digit[:, None, :], out=grown).reshape(rows, -1)
     if criterion == "ml":
-        mask = ll == ll.max(axis=0)
+        row = ll.argmax(axis=0)
     else:
-        mask = typical(ll, n, target, epsilon)
+        mask = typical(ll, code.n, target, epsilon)
         # a coset with no typical member falls back to all of its members
-        mask |= ~mask.any(axis=0)
-    pick = enc.min(axis=0, where=mask, initial=total)
-    return pick, table[pick]
+        row = (mask | ~mask.any(axis=0)).argmax(axis=0)
+    return row, ll[row, np.arange(ll.shape[1])]
 
 
 def region_of(
-    code: LinearCode, target: DiscreteTarget, criterion: str, epsilon: float, pick: np.ndarray
+    code: LinearCode, target: DiscreteTarget, criterion: str, epsilon: float, row: np.ndarray
 ) -> FundamentalRegion:
-    """The region whose representatives are the encodings choose picked."""
-    reps = np.column_stack(np.unravel_index(pick, (code.p,) * code.n))
-    good = typical(_likelihood_table(target, code.n)[pick], code.n, target, epsilon)
+    """The region whose representatives are the members choose picked by message row."""
+    msgs, shift = _members(code)
+    reps = np.empty((code.num_cosets, code.n), dtype=np.int64)
+    reps[:, list(code.pivot_cols)] = msgs[row]
+    reps[:, list(code.nonpivot_cols)] = (lex_grid(code.p, code.n - code.k) + shift[row]) % code.p
+    good = typical(log2_likelihoods(reps, target), code.n, target, epsilon)
     reps.setflags(write=False)
     good.setflags(write=False)
     return FundamentalRegion(code, reps, good, criterion, epsilon)
@@ -158,8 +140,8 @@ def build_region(
 ) -> FundamentalRegion:
     """Select each coset's representative by criterion and build the region."""
     tp = TypicalityParams.default(code.n) if tp is None else tp
-    pick, _ = choose(code, target, criterion, tp.epsilon, max_points)
-    return region_of(code, target, criterion, tp.epsilon, pick)
+    row, _ = choose(code, target, criterion, tp.epsilon, max_points)
+    return region_of(code, target, criterion, tp.epsilon, row)
 
 
 def build_ml_partition(code, target, *, tp=None, max_points=None) -> FundamentalRegion:

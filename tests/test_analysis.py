@@ -221,6 +221,16 @@ def test_estimator_is_deterministic_and_capped():
         estimate_match_probability(uniform_target(37), 6, 5, 10, 5)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_estimator_refuses_fewer_than_one_trial(monkeypatch, trials):
+    def no_draw(*args):
+        raise AssertionError("drew a code")
+
+    monkeypatch.setattr(lqn.analysis, "draw_full_rank", no_draw)
+    with pytest.raises(ValueError, match="at least one trial"):
+        estimate_match_probability(P532, 6, 1, trials, 5)
+
+
 def _oracle_failures(target, n, k, trials, seed):
     """Per-trial reference: fresh substream, full enumeration, shifted differences."""
     failures = 0

@@ -242,7 +242,7 @@ def test_exit_code_3_on_enumeration_cap(tmp_path, monkeypatch):
          "--max-points", 100, "--out-dir", out],
         ["continuous", "--dist", "triangle", "--p", 31, "--n", 4,
          "--max-points", 100, "--out-dir", out],
-        # 7**20 points pass this cap, but their first array (208 PiB) cannot be allocated
+        # 7**20 points pass this cap, but their sums (567 PiB) cannot be allocated
         base + ["--n", 20, "--max-points", 10**17],
         # 7**23 points overflow the int64 encodings, whatever the cap
         base + ["--n", 23, "--max-points", 10**30],

@@ -104,6 +104,25 @@ def test_log2_likelihoods_matches_scalar_sum():
     assert abs(batch[0] - 3 * math.log2(0.5)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_log2_likelihoods_adds_left_to_right(n):
+    # numpy's sum pairs terms from n = 8 on; the builders' sums must not
+    rng = np.random.default_rng(n)
+    raw = rng.dirichlet(np.ones(5))
+    t = validate_discrete(raw / raw.sum(), 5)
+    rows = rng.integers(0, 5, size=(300, n))
+
+    def fold(row):
+        total = 0.0
+        for x in row:
+            total += float(t.log2_probs[x])
+        return total
+
+    expect = [fold(row) for row in rows.tolist()]
+    assert log2_likelihoods(rows, t).tolist() == expect
+    assert [float(log2_likelihoods(row, t)) for row in rows] == expect
+
+
 def test_is_typical_skewed_fixture():
     # P = (0.9, 0.05, 0.05), n = 2, eps = 1/2: only the all-zero word qualifies
     t = validate_discrete([0.9, 0.05, 0.05], 3)

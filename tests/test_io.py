@@ -107,6 +107,14 @@ def test_load_json_gates_major_version(tmp_path):
         load_json(path)
 
 
+@pytest.mark.parametrize("root", ["[1, 2]", '"1.0"', "3", "null"])
+def test_load_json_refuses_a_non_object_root(tmp_path, root):
+    path = tmp_path / "r.json"
+    path.write_text(root)
+    with pytest.raises(DimensionMismatchError, match="JSON object"):
+        load_json(path)
+
+
 def test_report_payload_fields():
     region = small_region()
     report = analyze_region(region, P532)
