@@ -150,6 +150,7 @@ def estimate_match_probability(
         raise ValueError(f"need at least one trial, got {trials}")
     p = target.p
     eps = 1.0 / n if epsilon is None else float(epsilon)
+    bound = lemma1_bound(n, rate(k, n, p), p, target.entropy_bits, eps)
     check_cap(p**k, None, MAX_CODEWORDS, "codewords")
     msgs = lex_grid(p, k)
     failures = 0
@@ -164,5 +165,5 @@ def estimate_match_probability(
         trials=trials,
         failures=failures,
         empirical_failure_rate=failures / trials,
-        chebyshev_bound=lemma1_bound(n, rate(k, n, p), p, target.entropy_bits, eps),
+        chebyshev_bound=bound,
     )

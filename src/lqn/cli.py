@@ -22,7 +22,7 @@ from .analysis import (
 )
 from .cases import BuiltinCase, builtin_cases, continuous_builtins
 from .codes import MAX_POINTS, check_cap, rate, sample_generator, select_k
-from .continuous import bin_density, build_continuous, continuous_divergence
+from .continuous import build_continuous, continuous_divergence
 from .distributions import ContinuousTarget, DiscreteTarget, TypicalityParams
 from .errors import LqnError, TooLargeError
 from .partition import build_region, choose, region_of
@@ -43,14 +43,14 @@ def _typ_params(n: int, args) -> TypicalityParams:
 
 
 def _resolve_discrete(args) -> tuple[DiscreteTarget, int, BuiltinCase | None]:
-    """Target and block length from --dist/--n."""
+    """Target and block length from --dist/--n, its p**n points held to the cap."""
     case = builtin_cases().get(args.dist)
-    if case is not None:
-        return case.target, case.n if args.n is None else _at_least("--n", args.n, 2), case
-    target = _file_target(args.dist, DiscreteTarget)
-    if args.n is None:
+    target = _file_target(args.dist, DiscreteTarget) if case is None else case.target
+    if case is None and args.n is None:
         raise LqnError("--n is required for file targets")
-    return target, _at_least("--n", args.n, 2), None
+    n = case.n if args.n is None else _at_least("--n", args.n, 2)
+    check_cap(target.p**n, _max_points(args), MAX_POINTS, "points")
+    return target, n, case
 
 
 def _file_target(path, kind: type):
@@ -121,8 +121,8 @@ def _search(target, n, k, criterion, tp, seed, trials, max_points, direction="mi
     rows, best = [], None
     for t in range(trials):
         code = sample_generator((seed, t), k, n, target.p)
-        pick, ll = choose(code, target, criterion, tp.epsilon, max_points)
-        rows.append((t, divergence_bits(ll)))
+        pick = choose(code, target, criterion, tp.epsilon, max_points)
+        rows.append((t, divergence_bits(pick[1])))
         if best is None or sign * rows[t][1] < sign * rows[best[0]][1]:
             best = (t, code, pick)
     return rows, best
@@ -274,15 +274,12 @@ def cmd_continuous(args) -> int:
     if target is None:
         target = _file_target(args.dist, ContinuousTarget)
     n = _at_least("--n", args.n, 2)
-    max_points = _max_points(args)
-    # build_continuous checks the cap too, but the binned pmf for _pick_k comes first
-    check_cap(args.p**n, max_points, MAX_POINTS, "points")
-    k = _pick_k(args, None, bin_density(target, args.p).binned, n)
+    k = None if args.k is None else _check_k(args.k, n)
     tp = _typ_params(n, args)
     out = Path(args.out_dir)
     cc = build_continuous(
         target, args.p, n, k, (args.seed, 0),
-        criterion=args.criterion, tp=tp, max_points=max_points,
+        criterion=args.criterion, tp=tp, max_points=_max_points(args),
     )
     rep = continuous_divergence(cc)
     io.write_json(

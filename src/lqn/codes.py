@@ -25,11 +25,12 @@ RESAMPLE_CAP = 1000
 def check_cap(count: int, cap: int | None, default: int, what: str) -> None:
     """Refuse to enumerate count items when it exceeds cap (default when None).
 
-    Counts of 2**63 or more are refused whatever the cap: syndrome indices
-    (coset_ids) and the message rows that choose picks are int64.
+    Counts of 2**63 or more are refused whatever the cap: coset_ids and choose's
+    message rows are int64. From 2**256 on, a count is shown as a power of two.
     """
     if count >= 1 << 63:
-        raise TooLargeError(f"{count} {what} overflow the int64 encodings")
+        shown = count if count < 1 << 256 else f"over 2**{count.bit_length() - 1}"
+        raise TooLargeError(f"{shown} {what} overflow the int64 encodings")
     cap = default if cap is None else int(cap)
     if count > cap:
         raise TooLargeError(f"{count} {what} exceed the cap {cap}")

@@ -15,7 +15,6 @@ final logarithmic integrals are evaluated in floats.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .analysis import BOUND_TOL, eps_star
-from .codes import MAX_POINTS, LinearCode, check_cap, sample_generator
+from .codes import MAX_POINTS, LinearCode, check_cap, sample_generator, select_k
 from .distributions import (
     ContinuousTarget,
     DiscreteTarget,
@@ -104,9 +103,8 @@ class BinnedDensity:
     mean_log2: np.ndarray
 
 
-@functools.lru_cache(maxsize=1)
 def bin_density(target: ContinuousTarget, p: int) -> BinnedDensity:
-    """Fold once, clip each bin once; p must be prime. Targets hash by identity."""
+    """Fold once, clip each bin once; p must be prime."""
     p = ensure_prime(p)
     delta = 2 * Fraction(target.half_width) / p
     folded = fold_density(target)
@@ -169,17 +167,19 @@ def build_continuous(
     target: ContinuousTarget,
     p: int,
     n: int,
-    k: int,
+    k: int | None,
     seed,
     *,
     criterion: str = "typicality",
     tp: TypicalityParams | None = None,
     max_points: int | None = None,
 ) -> ContinuousConstruction:
-    """Bin the density and build the discrete region for the binned pmf."""
+    """Bin the density once and build the discrete region for the binned pmf;
+    k=None takes select_k's closest-rate k for the binned pmf."""
     # before the fold, and before trial division tests a huge p for primality
     check_cap(p**n, max_points, MAX_POINTS, "points")
     bins = bin_density(target, p)
+    k = select_k(p, n, bins.binned, "closest") if k is None else k
     code = sample_generator(seed, k, n, p)
     region = build_region(code, bins.binned, criterion, tp=tp, max_points=max_points)
     return ContinuousConstruction(bins, code, region)
@@ -189,12 +189,12 @@ def continuous_divergence(cc: ContinuousConstruction) -> ContinuousReport:
     """Exact divergence of the uniform-on-cell density from the product target.
 
     D = -log2(delta**n * |cell|) - mean over reps of sum_i L(rep_i), with L
-    the per-bin average of log2(density). The reported ceiling adds the
-    within-bin spread penalty to the discrete divergence budget.
+    the per-bin average of log2(density), summed left to right. The reported
+    ceiling adds the within-bin spread penalty to the discrete divergence budget.
     """
     region, bins = cc.region, cc.bins
     n = region.code.n
-    per_rep = bins.mean_log2[region.reps].sum(axis=1)
+    per_rep = bins.mean_log2[region.reps].cumsum(axis=1)[:, -1]
     d = (
         -n * math.log2(float(bins.delta))
         - math.log2(region.size)

@@ -16,7 +16,7 @@ lexicographic order exactly when their pivot parts are, and a first argmax
 over messages breaks ties as a pass over member vectors would. The
 log2-likelihoods of all members form one (p^k, p^(n-k)) array, message by
 syndrome, summed coordinate by coordinate in the order log2_likelihoods
-uses, so both agree bit for bit.
+uses, so both agree bit for bit; region_of flags typicality from a pick's sums.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import MAX_POINTS, LinearCode, check_cap, lex_grid
-from .distributions import DiscreteTarget, TypicalityParams, log2_likelihoods, typical
+from .distributions import DiscreteTarget, TypicalityParams, typical
 from .zplinalg import mod_reduce
 
 
@@ -117,14 +117,15 @@ def choose(
 
 
 def region_of(
-    code: LinearCode, target: DiscreteTarget, criterion: str, epsilon: float, row: np.ndarray
+    code: LinearCode, target: DiscreteTarget, criterion: str, epsilon: float, pick: tuple
 ) -> FundamentalRegion:
-    """The region whose representatives are the members choose picked by message row."""
+    """The region of the members choose picked, flagged from the sums it returned."""
+    row, ll = pick
     msgs, shift = _members(code)
     reps = np.empty((code.num_cosets, code.n), dtype=np.int64)
     reps[:, list(code.pivot_cols)] = msgs[row]
     reps[:, list(code.nonpivot_cols)] = (lex_grid(code.p, code.n - code.k) + shift[row]) % code.p
-    good = typical(log2_likelihoods(reps, target), code.n, target, epsilon)
+    good = typical(ll, code.n, target, epsilon)
     reps.setflags(write=False)
     good.setflags(write=False)
     return FundamentalRegion(code, reps, good, criterion, epsilon)
@@ -140,8 +141,8 @@ def build_region(
 ) -> FundamentalRegion:
     """Select each coset's representative by criterion and build the region."""
     tp = TypicalityParams.default(code.n) if tp is None else tp
-    row, _ = choose(code, target, criterion, tp.epsilon, max_points)
-    return region_of(code, target, criterion, tp.epsilon, row)
+    pick = choose(code, target, criterion, tp.epsilon, max_points)
+    return region_of(code, target, criterion, tp.epsilon, pick)
 
 
 def build_ml_partition(code, target, *, tp=None, max_points=None) -> FundamentalRegion:

@@ -221,14 +221,22 @@ def test_estimator_is_deterministic_and_capped():
         estimate_match_probability(uniform_target(37), 6, 5, 10, 5)
 
 
+def _no_draw(*args):
+    raise AssertionError("drew a code")
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_estimator_refuses_fewer_than_one_trial(monkeypatch, trials):
-    def no_draw(*args):
-        raise AssertionError("drew a code")
-
-    monkeypatch.setattr(lqn.analysis, "draw_full_rank", no_draw)
+    monkeypatch.setattr(lqn.analysis, "draw_full_rank", _no_draw)
     with pytest.raises(ValueError, match="at least one trial"):
         estimate_match_probability(P532, 6, 1, trials, 5)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1.5, math.nan])
+def test_estimator_refuses_a_bad_epsilon_before_any_draw(monkeypatch, epsilon):
+    monkeypatch.setattr(lqn.analysis, "draw_full_rank", _no_draw)
+    with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)"):
+        estimate_match_probability(P532, 6, 1, 2000, 5, epsilon=epsilon)
 
 
 def _oracle_failures(target, n, k, trials, seed):

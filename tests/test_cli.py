@@ -20,10 +20,14 @@ import lqn.distributions
 from lqn import (
     ContinuousReport,
     analyze_region,
+    bin_density,
+    build_continuous,
     build_ml_partition,
     sample_generator,
+    select_k,
     validate_region,
 )
+from lqn.cases import continuous_builtins
 from lqn.cli import main
 from lqn.io import load_json, load_marginals_csv, load_region_csv
 
@@ -256,6 +260,36 @@ def test_exit_code_3_on_enumeration_cap(tmp_path, monkeypatch):
     assert run(base + ["--max-points", 10_000_000]) == 0
 
 
+@pytest.mark.parametrize("n", [3000, 4000])
+def test_huge_point_count_is_one_short_line(tmp_path, capsys, n):
+    # 13**3000 has 3342 digits, and 13**4000 is past the 4300 digits that int
+    # to str conversion allows
+    out = tmp_path / "out"
+    assert run(["analyze", "--dist", "w4", "--n", n, "--k", 1, "--out-dir", out]) == 3
+    assert not out.exists()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 200
+    assert "overflow the int64 encodings" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze"],
+        ["search", "--k", 1, "--trials", 1],
+        ["sweep-rate", "--k-range", "1:2", "--trials", 1],
+        ["bounds"],
+    ],
+)
+def test_point_cap_comes_before_any_code_is_drawn(tmp_path, capsys, monkeypatch, argv):
+    # drawing a code at n=4000 runs a row reduction for a long time before the cap
+    monkeypatch.setattr(lqn.cli, "sample_generator", _refuse)
+    out = tmp_path / "out"
+    assert run(argv + ["--dist", "w3", "--n", 4000, "--out-dir", out]) == 3
+    assert not out.exists()
+    assert "points overflow the int64 encodings" in capsys.readouterr().out
+
+
 def test_epsilon_override_lands_in_report(tmp_path):
     out = tmp_path / "eps"
     assert run(
@@ -330,11 +364,21 @@ def test_continuous_command_folds_once(tmp_path, monkeypatch):
         return fold(target)
 
     monkeypatch.setattr(lqn.continuous, "fold_density", counting_fold)
-    lqn.continuous.bin_density.cache_clear()
     assert run(
         ["continuous", "--dist", "triangle", "--p", 7, "--n", 3, "--out-dir", tmp_path]
     ) == 0
     assert len(calls) == 1
+
+
+def test_continuous_without_k_takes_the_closest_rate_k(tmp_path):
+    argv = ["continuous", "--dist", "triangle", "--p", 13, "--n", 3, "--seed", 2]
+    assert run(argv + ["--out-dir", tmp_path / "auto"]) == 0
+    target = continuous_builtins()["triangle"]
+    k = select_k(13, 3, bin_density(target, 13).binned, "closest")
+    assert build_continuous(target, 13, 3, None, (2, 0)).code.k == k
+    assert run(argv + ["--k", k, "--out-dir", tmp_path / "given"]) == 0
+    for name in ("continuous_report.json", "region.csv"):
+        assert (tmp_path / "auto" / name).read_bytes() == (tmp_path / "given" / name).read_bytes()
 
 
 def _refuse(*args):
@@ -347,7 +391,6 @@ def test_capped_continuous_folds_nothing(tmp_path, capsys, monkeypatch, p):
     # the fold and before the trial-division primality test
     monkeypatch.setattr(lqn.continuous, "fold_density", _refuse)
     monkeypatch.setattr(lqn.continuous, "ensure_prime", _refuse)
-    lqn.continuous.bin_density.cache_clear()
     out = tmp_path / "out"
     argv = ["continuous", "--dist", "triangle", "--p", p, "--n", 2, "--k", 1]
     assert run(argv + ["--out-dir", out]) == 3

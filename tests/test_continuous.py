@@ -242,6 +242,23 @@ def test_continuous_report_fields_cohere():
     assert rep.bound_satisfied == (rep.D_per_dim <= rep.bound_per_dim + 1e-9)
 
 
+@pytest.mark.parametrize("p, n, criterion", [(3, 9, "typicality"), (5, 8, "ml")])
+def test_continuous_divergence_adds_each_rep_left_to_right(p, n, criterion):
+    # from n = 8 on numpy's pairwise sum and a left-to-right one can differ in
+    # the last bit; both builds here are ones where they do
+    cc = build_continuous(TRIANGLE, p, n, n // 2, 1, criterion=criterion)
+    terms = cc.bins.mean_log2[cc.region.reps]
+    per_rep = np.zeros(cc.region.size)
+    for j in range(n):
+        per_rep = per_rep + terms[:, j]
+    want = (
+        -n * math.log2(float(cc.bins.delta))
+        - math.log2(cc.region.size)
+        - float(per_rep.sum()) / cc.region.size
+    )
+    assert continuous_divergence(cc).D_total_bits == want
+
+
 def test_refinement_shrinks_guaranteed_ceiling():
     # finer lattice, same target: the certified bound must not grow.
     # 50 seeded codebooks per modulus at the theorem-mode dimension

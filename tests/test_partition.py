@@ -233,8 +233,8 @@ def test_builders_match_brute_force_oracle(p, sizes, seed, uniform):
             assert np.array_equal(region.good_flags, good)
             # the score search ranks trials by, with no region built, is the
             # divergence of the region it would build, bit for bit
-            pick, ll = partition.choose(code, target, criterion, tp.epsilon, None)
-            assert divergence_bits(ll) == kl_region_vs_product(region, target)
+            pick = partition.choose(code, target, criterion, tp.epsilon, None)
+            assert divergence_bits(pick[1]) == kl_region_vs_product(region, target)
             # the region search builds from the pick it kept is the builder's region
             kept = partition.region_of(code, target, criterion, tp.epsilon, pick)
             assert np.array_equal(kept.reps, reps)
