@@ -129,6 +129,38 @@ class MatchabilityEstimate:
     chebyshev_bound: float
 
 
+# Trials x messages that one block of the Monte Carlo scan holds at once.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _substream(seed, t: int) -> np.random.Generator:
+    """Trial t's own generator, on the substream (seed, t)."""
+    return np.random.default_rng(np.random.SeedSequence((seed, t)))
+
+
+def _scan(gens, shifts, msgs, target: DiscreteTarget, n: int, eps: float):
+    """Per trial of a block: is its generator rank-deficient, and does it fail?
+
+    One pass per coordinate over every message (rows) and trial (columns): the
+    codeword digit plus the shift, reduced mod p, and the log2 mass of its
+    negation added into ll left to right, as log2_likelihoods adds it. A
+    generator is rank-deficient iff some nonzero message maps to the all-zero
+    codeword, that is, to the shift itself.
+    """
+    p = target.p
+    # log2 mass of -v mod p, for each reduced v
+    neg_log2 = target.log2_probs[-np.arange(p) % p]
+    ll = np.zeros((len(msgs), len(gens)))
+    seen = np.zeros(ll.shape, dtype=bool)
+    for j in range(n):
+        v = msgs @ gens[:, :, j].T + shifts[:, j]
+        v -= v // p * p  # v % p; numpy's % by a scalar is several times slower than //
+        seen |= v != shifts[:, j]
+        ll += neg_log2[v]
+    deficient = ~seen[1:].all(axis=0)
+    return deficient, ~typical(ll, n, target, eps).any(axis=0)
+
+
 def estimate_match_probability(
     target: DiscreteTarget,
     n: int,
@@ -145,22 +177,43 @@ def estimate_match_probability(
     typical pair with the origin. Shifting makes the origin statistically
     equivalent to any other point. Per-trial substreams make the tally
     independent of execution order.
+
+    Only the draws are made trial by trial. Blocks of trials, each holding at
+    most _BLOCK_ELEMENTS trials x messages, are scanned one coordinate at a
+    time; the rank test comes from the same codewords. A rank-deficient first
+    draw is redrawn through draw_full_rank on a fresh generator of its
+    substream, which then draws the shift, so every trial consumes its stream
+    exactly as a per-trial draw_full_rank would.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    if not 0 < k < n:
+        raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
     p = target.p
     eps = 1.0 / n if epsilon is None else float(epsilon)
     bound = lemma1_bound(n, rate(k, n, p), p, target.entropy_bits, eps)
     check_cap(p**k, None, MAX_CODEWORDS, "codewords")
-    msgs = lex_grid(p, k)
+    # rows in memory order: numpy's integer matmul has no BLAS, and strided rows
+    # slowed 2**21 messages several-fold
+    msgs = np.ascontiguousarray(lex_grid(p, k))
+    block = max(1, _BLOCK_ELEMENTS // p**k)
     failures = 0
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
-        code = draw_full_rank(rng, k, n, p)
-        shift = rng.integers(0, p, size=n, dtype=np.int64)
-        diffs = -(msgs @ code.generator + shift) % p
-        if not typical(log2_likelihoods(diffs, target), n, target, eps).any():
-            failures += 1
+    for start in range(0, trials, block):
+        size = min(block, trials - start)
+        gens = np.empty((size, k, n), dtype=np.int64)
+        shifts = np.empty((size, n), dtype=np.int64)
+        for i in range(size):
+            rng = _substream(seed, start + i)
+            gens[i] = rng.integers(0, p, size=(k, n), dtype=np.int64)
+            shifts[i] = rng.integers(0, p, size=n, dtype=np.int64)
+        deficient, fails = _scan(gens, shifts, msgs, target, n, eps)
+        redo = np.flatnonzero(deficient)
+        for i in redo.tolist():
+            rng = _substream(seed, start + i)
+            gens[i] = draw_full_rank(rng, k, n, p).generator
+            shifts[i] = rng.integers(0, p, size=n, dtype=np.int64)
+        fails[redo] = _scan(gens[redo], shifts[redo], msgs, target, n, eps)[1]
+        failures += int(fails.sum())
     return MatchabilityEstimate(
         trials=trials,
         failures=failures,

@@ -246,6 +246,12 @@ def cmd_bounds(args) -> int:
     _at_least("--trials", args.trials)
     tp = _typ_params(n, args)
     out = Path(args.out_dir)
+    # the estimate first: it refuses a codebook over the cap before any region is built
+    est = None
+    if args.estimate:
+        est = vars(estimate_match_probability(
+            target, n, k, args.trials, args.seed, epsilon=tp.epsilon
+        ))
     code = sample_generator((args.seed, 0), k, n, p)
     region = build_region(code, target, "typicality", tp=tp, max_points=_max_points(args))
     report = analyze_region(region, target)
@@ -257,13 +263,8 @@ def cmd_bounds(args) -> int:
         "entropy_bits": target.entropy_bits,
         "lemma1_bound": lemma1_bound(n, rate_bits, p, target.entropy_bits, tp.epsilon),
         **{key: getattr(report, key) for key in _BOUNDS_REPORT_KEYS},
-        "estimate": None,
+        "estimate": est,
     }
-    if args.estimate:
-        est = estimate_match_probability(
-            target, n, k, args.trials, args.seed, epsilon=tp.epsilon
-        )
-        payload["estimate"] = vars(est)
     io.write_json(out / "bounds.json", payload)
     print(f"eps_star={payload['eps_star']!r}, lemma1_bound={payload['lemma1_bound']!r}")
     return 0

@@ -75,11 +75,15 @@ def _write_text(path, text: str) -> Path:
     return path
 
 
-def _write_csv(path, header: list[str], rows) -> Path:
+def _write_csv(path, header: list[str], lines) -> Path:
+    """The version line, the header, then each row's line of text."""
+    text = "\n".join([f"# schema_version={SCHEMA_VERSION}", ",".join(header), *lines])
+    return _write_text(path, text + "\n")
+
+
+def _lines(rows):
     """Rows of Python ints and floats; str gives ints and shortest float reprs."""
-    lines = [f"# schema_version={SCHEMA_VERSION}", ",".join(header)]
-    lines.extend(",".join(map(str, row)) for row in rows)
-    return _write_text(path, "\n".join(lines) + "\n")
+    return (",".join(map(str, row)) for row in rows)
 
 
 def _read_csv(path, dtype) -> np.ndarray:
@@ -92,9 +96,13 @@ def _read_csv(path, dtype) -> np.ndarray:
 
 def write_region_csv(path, region: FundamentalRegion) -> Path:
     header = ["syndrome_index"] + [f"r{i}" for i in range(region.code.n)] + ["good"]
-    table = np.column_stack([np.arange(region.size), region.reps, region.good_flags])
-    # one row at a time: a whole-table tolist() would hold every cell as an object
-    return _write_csv(path, header, (row.tolist() for row in table))
+    # each column through a table of its values' text: str runs once per symbol,
+    # not once per cell
+    symbols = [str(v) for v in range(region.code.p)]
+    columns = [map(str, range(region.size))]
+    columns += [map(symbols.__getitem__, col) for col in region.reps.T.tolist()]
+    columns.append(map(("0", "1").__getitem__, region.good_flags.tolist()))
+    return _write_csv(path, header, map(",".join, zip(*columns)))
 
 
 def load_region_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -105,7 +113,7 @@ def load_region_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def write_marginals_csv(path, marginal_rows: np.ndarray) -> Path:
     header = [f"s{j}" for j in range(marginal_rows.shape[1])]
-    return _write_csv(path, header, marginal_rows.tolist())
+    return _write_csv(path, header, _lines(marginal_rows.tolist()))
 
 
 def load_marginals_csv(path) -> np.ndarray:
@@ -113,11 +121,11 @@ def load_marginals_csv(path) -> np.ndarray:
 
 
 def write_trials_csv(path, rows) -> Path:
-    return _write_csv(path, ["trial", "D_total_bits"], rows)
+    return _write_csv(path, ["trial", "D_total_bits"], _lines(rows))
 
 
 def write_sweep_csv(path, rows) -> Path:
-    return _write_csv(path, ["k", "R_bits", "D_per_dim"], rows)
+    return _write_csv(path, ["k", "R_bits", "D_per_dim"], _lines(rows))
 
 
 def load_distribution_file(path):

@@ -29,6 +29,7 @@ from lqn import (
 )
 from lqn.codes import draw_full_rank
 from lqn.distributions import typical
+from lqn.zplinalg import rref
 
 C3 = make_code([[1, 1]], 3)
 P532 = validate_discrete([0.5, 0.3, 0.2], 3)
@@ -225,18 +226,31 @@ def _no_draw(*args):
     raise AssertionError("drew a code")
 
 
+def _forbid_draws(monkeypatch):
+    """Any trial's first draw (its substream) or redraw fails the test."""
+    monkeypatch.setattr(lqn.analysis, "_substream", _no_draw)
+    monkeypatch.setattr(lqn.analysis, "draw_full_rank", _no_draw)
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_estimator_refuses_fewer_than_one_trial(monkeypatch, trials):
-    monkeypatch.setattr(lqn.analysis, "draw_full_rank", _no_draw)
+    _forbid_draws(monkeypatch)
     with pytest.raises(ValueError, match="at least one trial"):
         estimate_match_probability(P532, 6, 1, trials, 5)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 1.5, math.nan])
 def test_estimator_refuses_a_bad_epsilon_before_any_draw(monkeypatch, epsilon):
-    monkeypatch.setattr(lqn.analysis, "draw_full_rank", _no_draw)
+    _forbid_draws(monkeypatch)
     with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)"):
         estimate_match_probability(P532, 6, 1, 2000, 5, epsilon=epsilon)
+
+
+@pytest.mark.parametrize("k", [0, 6])
+def test_estimator_refuses_a_bad_dimension_before_any_draw(monkeypatch, k):
+    _forbid_draws(monkeypatch)
+    with pytest.raises(ValueError, match="k="):
+        estimate_match_probability(P532, 6, k, 10, 5)
 
 
 def _oracle_failures(target, n, k, trials, seed):
@@ -252,31 +266,62 @@ def _oracle_failures(target, n, k, trials, seed):
     return failures
 
 
+def _first_draw_is_deficient(seed, t, k, n, p):
+    rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
+    return rref(rng.integers(0, p, size=(k, n), dtype=np.int64), p).rank < k
+
+
+W3_PROBS = [0.05, 0.6, 0.05, 0.05, 0.15, 0.05, 0.05]
+
+
 @pytest.mark.parametrize(
-    "probs, n, k, seed",
+    "probs, n, k, trials, seed",
     [
-        ([0.6, 0.25, 0.15], 6, 1, 5),
-        ([0.6, 0.25, 0.15], 6, 2, 17),
-        ([0.9, 0.05, 0.05], 8, 1, 99),
-        ([0.05, 0.6, 0.05, 0.05, 0.15, 0.05, 0.05], 6, 2, 3),
-        ([0.7, 0.1, 0.1, 0.05, 0.05], 5, 2, 8),
+        ([0.6, 0.25, 0.15], 6, 1, 60, 5),
+        ([0.6, 0.25, 0.15], 6, 2, 60, 17),
+        ([0.9, 0.05, 0.05], 8, 1, 60, 99),
+        (W3_PROBS, 6, 2, 60, 3),
+        ([0.7, 0.1, 0.1, 0.05, 0.05], 5, 2, 60, 8),
+        # about 38 % of first draws are rank-deficient and redrawn
+        ([0.8, 0.2], 4, 3, 60, 0),
+        # 2**16 messages exceed the block bound: one trial per block
+        ([13 / 15, 2 / 15], 30, 16, 7, 1),
+        # 2**14 messages: blocks of two trials, and a last block of one
+        ([6 / 7, 1 / 7], 28, 14, 7, 0),
+        # the bounds-mc workload: w3 at its theorem dimension, 239 failures
+        (W3_PROBS, 6, 3, 2000, 0),
+    ],
+    # the 60-trial cases keep the ids pytest derives from (probs, n, k, seed)
+    ids=[
+        "probs0-6-1-5", "probs1-6-2-17", "probs2-8-1-99", "probs3-6-2-3", "probs4-5-2-8",
+        "rank-deficient", "one-trial-blocks", "two-trial-blocks", "bounds-mc",
     ],
 )
-def test_estimator_matches_per_trial_oracle(monkeypatch, probs, n, k, seed):
+def test_estimator_matches_per_trial_oracle(monkeypatch, probs, n, k, trials, seed):
     target = validate_discrete(probs, len(probs))
-    caps = []
+    caps, redraws = [], []
     check_cap = lqn.analysis.check_cap
 
     def counting_cap(*args):
         caps.append(args)
         return check_cap(*args)
 
+    def counting_draw(*args):
+        redraws.append(args)
+        return draw_full_rank(*args)
+
     monkeypatch.setattr(lqn.analysis, "check_cap", counting_cap)
-    est = estimate_match_probability(target, n, k, 60, seed)
+    monkeypatch.setattr(lqn.analysis, "draw_full_rank", counting_draw)
+    est = estimate_match_probability(target, n, k, trials, seed)
     assert len(caps) == 1
-    assert 0 < est.failures < 60
-    assert est.failures == _oracle_failures(target, n, k, 60, seed)
-    assert est.empirical_failure_rate == est.failures / 60
+    assert 0 < est.failures < trials
+    assert est.failures == _oracle_failures(target, n, k, trials, seed)
+    assert est.empirical_failure_rate == est.failures / trials
+    # only a rank-deficient first draw goes through draw_full_rank
+    p = target.p
+    assert len(redraws) == sum(
+        _first_draw_is_deficient(seed, t, k, n, p) for t in range(trials)
+    )
 
 
 def test_ensemble_mean_divergence_improves_with_block_length():

@@ -290,6 +290,21 @@ def test_point_cap_comes_before_any_code_is_drawn(tmp_path, capsys, monkeypatch,
     assert "points overflow the int64 encodings" in capsys.readouterr().out
 
 
+def test_estimate_over_the_codeword_cap_builds_no_region(tmp_path, capsys, monkeypatch):
+    # 2**23 codewords exceed the cap; building the 2**24-point region first
+    # takes seconds and gigabytes
+    monkeypatch.setattr(lqn.cli, "build_region", _refuse)
+    dist = tmp_path / "skew2.json"
+    dist.write_text(json.dumps({"type": "discrete", "p": 2, "probs": [0.8, 0.2]}))
+    out = tmp_path / "out"
+    argv = ["bounds", "--dist", dist, "--n", 24, "--k", 23, "--estimate", "--out-dir", out]
+    assert run(argv) == 3
+    assert not out.exists()
+    assert capsys.readouterr().out.splitlines() == [
+        "error: 8388608 codewords exceed the cap 4194304"
+    ]
+
+
 def test_epsilon_override_lands_in_report(tmp_path):
     out = tmp_path / "eps"
     assert run(
