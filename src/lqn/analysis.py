@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import MAX_CODEWORDS, check_cap, draw_full_rank, lex_grid, rate
-from .distributions import DiscreteTarget, alpha, log2_likelihoods, typical
+from .distributions import DiscreteTarget, alpha, log2_likelihoods, typical_interval
 from .partition import FundamentalRegion
 
 BOUND_TOL = 1e-9
@@ -138,14 +138,15 @@ def _substream(seed, t: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, t)))
 
 
-def _scan(gens, shifts, msgs, target: DiscreteTarget, n: int, eps: float):
+def _scan(gens, shifts, msgs, target: DiscreteTarget, n: int, accept: tuple[float, float]):
     """Per trial of a block: is its generator rank-deficient, and does it fail?
 
     One pass per coordinate over every message (rows) and trial (columns): the
     codeword digit plus the shift, reduced mod p, and the log2 mass of its
     negation added into ll left to right, as log2_likelihoods adds it. A
     generator is rank-deficient iff some nonzero message maps to the all-zero
-    codeword, that is, to the shift itself.
+    codeword, that is, to the shift itself. A trial fails when no sum lies in
+    accept, the interval typical_interval gives.
     """
     p = target.p
     # log2 mass of -v mod p, for each reduced v
@@ -158,7 +159,8 @@ def _scan(gens, shifts, msgs, target: DiscreteTarget, n: int, eps: float):
         seen |= v != shifts[:, j]
         ll += neg_log2[v]
     deficient = ~seen[1:].all(axis=0)
-    return deficient, ~typical(ll, n, target, eps).any(axis=0)
+    lo, hi = accept
+    return deficient, ~((ll >= lo) & (ll <= hi)).any(axis=0)
 
 
 def estimate_match_probability(
@@ -193,9 +195,10 @@ def estimate_match_probability(
     eps = 1.0 / n if epsilon is None else float(epsilon)
     bound = lemma1_bound(n, rate(k, n, p), p, target.entropy_bits, eps)
     check_cap(p**k, None, MAX_CODEWORDS, "codewords")
-    # rows in memory order: numpy's integer matmul has no BLAS, and strided rows
-    # slowed 2**21 messages several-fold
-    msgs = np.ascontiguousarray(lex_grid(p, k))
+    # lex_grid is C-ordered: numpy's integer matmul has no BLAS, and strided
+    # rows slowed 2**21 messages several-fold
+    msgs = lex_grid(p, k)
+    accept = typical_interval(n, target, eps)
     block = max(1, _BLOCK_ELEMENTS // p**k)
     failures = 0
     for start in range(0, trials, block):
@@ -206,13 +209,13 @@ def estimate_match_probability(
             rng = _substream(seed, start + i)
             gens[i] = rng.integers(0, p, size=(k, n), dtype=np.int64)
             shifts[i] = rng.integers(0, p, size=n, dtype=np.int64)
-        deficient, fails = _scan(gens, shifts, msgs, target, n, eps)
+        deficient, fails = _scan(gens, shifts, msgs, target, n, accept)
         redo = np.flatnonzero(deficient)
         for i in redo.tolist():
             rng = _substream(seed, start + i)
             gens[i] = draw_full_rank(rng, k, n, p).generator
             shifts[i] = rng.integers(0, p, size=n, dtype=np.int64)
-        fails[redo] = _scan(gens[redo], shifts[redo], msgs, target, n, eps)[1]
+        fails[redo] = _scan(gens[redo], shifts[redo], msgs, target, n, accept)[1]
         failures += int(fails.sum())
     return MatchabilityEstimate(
         trials=trials,

@@ -108,8 +108,15 @@ def sample_generator(seed, k: int, n: int, p: int) -> LinearCode:
 
 
 def lex_grid(p: int, m: int) -> np.ndarray:
-    """Every vector of Z_p^m as a row, in lexicographic order, zero row first."""
-    return np.indices((p,) * m).reshape(m, p**m).T
+    """Every vector of Z_p^m as a row, in lexicographic order, zero row first.
+
+    The (p**m, m) grid is one C-ordered allocation, filled column by column.
+    """
+    grid = np.empty((p**m, m), dtype=np.int64)
+    cube = grid.reshape((p,) * m + (m,))
+    for i in range(m):
+        cube[..., i] = np.arange(p).reshape((p,) + (1,) * (m - 1 - i))
+    return grid
 
 
 def enumerate_codewords(code: LinearCode) -> np.ndarray:

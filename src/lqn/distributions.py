@@ -8,6 +8,7 @@ outside. All logs are base 2.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,12 +117,60 @@ def log2_likelihoods(vectors, target: DiscreteTarget) -> np.ndarray:
     return total
 
 
+def _surprisal_gap(log2_lik, n: int, target: DiscreteTarget):
+    """-(1/n) log2 P(x) - H, non-increasing in log2 P(x): each step is rounded monotonically."""
+    return -log2_lik / n - target.entropy_bits
+
+
 def typical(log2_lik, n: int, target: DiscreteTarget, epsilon: float) -> np.ndarray:
     """Weak typicality from log2-likelihoods: |-(1/n) log2 P(x) - H| <= epsilon.
 
-    Every typicality decision goes through here, so all of them agree bit for bit.
+    Every typicality decision goes through here or through typical_interval,
+    which is derived from this test, so all of them agree bit for bit.
     """
-    return np.abs(-log2_lik / n - target.entropy_bits) <= epsilon
+    return np.abs(_surprisal_gap(log2_lik, n, target)) <= epsilon
+
+
+def _float_key(x: float) -> int:
+    """An integer that orders doubles as their values do; its own inverse.
+
+    The bits of a double read as int64 order the non-negative doubles; for a
+    negative one, flipping all but the sign bit reverses its order.
+    """
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else bits ^ 0x7FFFFFFFFFFFFFFF
+
+
+def _key_float(key: int) -> float:
+    bits = key if key >= 0 else key ^ 0x7FFFFFFFFFFFFFFF
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _first_true(pred) -> float:
+    """The smallest double x with pred(x), for pred monotone from False to True
+    along the float line; pred(-inf) must be False and pred(inf) True."""
+    lo, hi = _float_key(-math.inf), _float_key(math.inf)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(_key_float(mid)):
+            hi = mid
+        else:
+            lo = mid
+    return _key_float(hi)
+
+
+def typical_interval(n: int, target: DiscreteTarget, epsilon: float) -> tuple[float, float]:
+    """The closed interval [a, b] of log2-likelihoods that typical accepts.
+
+    typical(ll, ...) equals a <= ll <= b for every double ll; the interval is
+    empty (a > b) when no double is typical. |gap| <= epsilon is gap <= epsilon
+    and -epsilon <= gap, since abs and negation are exact, and the gap falls as
+    ll grows, so the first half holds from some a on and the second up to some
+    b. Both are found by bisecting the float line on the gap itself.
+    """
+    a = _first_true(lambda ll: _surprisal_gap(ll, n, target) <= epsilon)
+    b = -_first_true(lambda ll: _surprisal_gap(-ll, n, target) >= -epsilon)
+    return a, b
 
 
 def is_typical(x, target: DiscreteTarget, tp: TypicalityParams) -> bool:

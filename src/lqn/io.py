@@ -5,6 +5,10 @@ version they do not know. Output is byte-deterministic: keys are sorted,
 floats use their shortest round-trip repr, and nothing timestamped is
 written. Each file is written whole to a temporary name and then renamed
 onto its own, and its directory is made only then.
+
+region.csv's body is rendered as one byte array, its cells taken from digit
+tables; the float CSVs format each value with str, the shortest round-trip
+repr.
 """
 
 from __future__ import annotations
@@ -56,8 +60,10 @@ def report_payload(report: AnalysisReport, provenance: dict) -> dict:
     return {"kind": "analysis", "provenance": dict(provenance), **vars(report)}
 
 
-def _write_text(path, text: str) -> Path:
+def _write_text(path, data: str | bytes) -> Path:
     """Write a whole file: to <name>.tmp beside it, then os.replace onto path.
+
+    Text is written as UTF-8; bytes are written as they are.
 
     The parent directory is created here, so a command that fails before its
     first write leaves no output directory behind; a failed write removes its
@@ -67,7 +73,7 @@ def _write_text(path, text: str) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_bytes(data.encode() if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -75,10 +81,14 @@ def _write_text(path, text: str) -> Path:
     return path
 
 
+def _csv_head(header: list[str]) -> str:
+    """The version line and the header line."""
+    return f"# schema_version={SCHEMA_VERSION}\n" + ",".join(header) + "\n"
+
+
 def _write_csv(path, header: list[str], lines) -> Path:
     """The version line, the header, then each row's line of text."""
-    text = "\n".join([f"# schema_version={SCHEMA_VERSION}", ",".join(header), *lines])
-    return _write_text(path, text + "\n")
+    return _write_text(path, _csv_head(header) + "".join(line + "\n" for line in lines))
 
 
 def _lines(rows):
@@ -94,15 +104,54 @@ def _read_csv(path, dtype) -> np.ndarray:
         return np.loadtxt(fh, dtype=dtype, delimiter=",", skiprows=1, ndmin=2)
 
 
+def _digits(count: int) -> np.ndarray:
+    """The decimal text of 0..count-1, row v right-aligned in the smallest
+    common width, ASCII digits padded on the left with 0 bytes.
+
+    The digit at place 10**j cycles through 0-9, each held for 10**j rows, so
+    every column is a repeated pattern; the rows below 10**j have no such digit.
+    """
+    width = len(str(count - 1))
+    ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    table = np.empty((count, width), dtype=np.uint8)
+    for j in range(width):
+        place = 10**j
+        column = np.resize(np.repeat(ascii_digits, place), count)
+        column[: place if j else 0] = 0
+        table[:, width - 1 - j] = column
+    return table
+
+
 def write_region_csv(path, region: FundamentalRegion) -> Path:
-    header = ["syndrome_index"] + [f"r{i}" for i in range(region.code.n)] + ["good"]
-    # each column through a table of its values' text: str runs once per symbol,
-    # not once per cell
-    symbols = [str(v) for v in range(region.code.p)]
-    columns = [map(str, range(region.size))]
-    columns += [map(symbols.__getitem__, col) for col in region.reps.T.tolist()]
-    columns.append(map(("0", "1").__getitem__, region.good_flags.tolist()))
-    return _write_csv(path, header, map(",".join, zip(*columns)))
+    """region.csv: a row per coset, its syndrome index, representative and good flag.
+
+    The body is rendered into one (rows, width) byte array: each cell's text
+    is taken from a digit table, right-aligned in a fixed column, and the
+    commas, the flag and the newline are fixed columns. The 0 bytes padding
+    the digits are then dropped. A representative outside [0, p) or a shape
+    other than (num_cosets, n) is refused before anything is written.
+    """
+    code, reps = region.code, region.reps
+    if reps.shape != (code.num_cosets, code.n):
+        expected = (code.num_cosets, code.n)
+        raise ValueError(f"representatives of shape {reps.shape}, expected {expected}")
+    if reps.min() < 0 or reps.max() >= code.p:
+        raise ValueError(f"representatives must lie in [0, {code.p})")
+    rows, n = reps.shape
+    index, symbols = _digits(rows), _digits(code.p)
+    wide, cell = index.shape[1], symbols.shape[1] + 1
+    body = np.empty((rows, wide + 1 + n * cell + 2), dtype=np.uint8)
+    body[:, :wide] = index
+    body[:, wide] = ord(",")
+    cells = body[:, wide + 1 : wide + 1 + n * cell].reshape(rows, n, cell)
+    for d in range(cell - 1):
+        cells[:, :, d] = symbols[:, d][reps]
+    cells[:, :, -1] = ord(",")
+    body[:, -2] = region.good_flags + ord("0")
+    body[:, -1] = ord("\n")
+    flat = body.ravel()
+    header = ["syndrome_index"] + [f"r{i}" for i in range(n)] + ["good"]
+    return _write_text(path, _csv_head(header).encode() + flat[flat != 0].tobytes())
 
 
 def load_region_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -12,11 +12,16 @@ With the code in systematic form, the member of coset s with pivot part u
 has free part s + u.A, where A = (-H[:, pivots])^T mod p comes from the
 parity check H. A codeword's first nonzero coordinate is the pivot of its
 message's first nonzero digit, so within a coset the members are in
-lexicographic order exactly when their pivot parts are, and a first argmax
-over messages breaks ties as a pass over member vectors would. The
+lexicographic order exactly when their pivot parts are, and the first
+qualifying message breaks ties as a pass over member vectors would. The
 log2-likelihoods of all members form one (p^k, p^(n-k)) array, message by
 syndrome, summed coordinate by coordinate in the order log2_likelihoods
 uses, so both agree bit for bit; region_of flags typicality from a pick's sums.
+
+Selection is whole-array: the typicality rule compares the sums with the
+interval typical_interval derives from typical, and both rules find each
+syndrome's first qualifying message with first_hit, a max-reduce over the
+message axis.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import MAX_POINTS, LinearCode, check_cap, lex_grid
-from .distributions import DiscreteTarget, TypicalityParams, typical
+from .distributions import DiscreteTarget, TypicalityParams, typical, typical_interval
 from .zplinalg import mod_reduce
 
 
@@ -108,12 +113,26 @@ def choose(
             grown = sums.reshape(rows, -1, p) if j == free[-1] else None
             ll = np.add(ll[:, :, None], digit[:, None, :], out=grown).reshape(rows, -1)
     if criterion == "ml":
-        row = ll.argmax(axis=0)
+        row = first_hit(ll == ll.max(axis=0))
     else:
-        mask = typical(ll, code.n, target, epsilon)
-        # a coset with no typical member falls back to all of its members
-        row = (mask | ~mask.any(axis=0)).argmax(axis=0)
+        # a coset with no typical member falls back to its first member
+        lo, hi = typical_interval(code.n, target, epsilon)
+        row = first_hit((ll >= lo) & (ll <= hi))
     return row, ll[row, np.arange(ll.shape[1])]
+
+
+def first_hit(hits: np.ndarray) -> np.ndarray:
+    """Each column's first True row, or 0 for a column with none.
+
+    Rows get descending weights rows..1 in the smallest unsigned dtype that
+    holds them, and a max over axis 0 finds the first hit's weight: numpy
+    reduces axis 0 row after row, where argmax(axis=0) walks strided columns.
+    """
+    rows = hits.shape[0]
+    weights = np.arange(rows, 0, -1, dtype=np.min_scalar_type(rows))
+    best = (hits * weights[:, None]).max(axis=0)
+    # best = rows - row for a hit; 0 (no hit) maps to row 0
+    return (rows - best.astype(np.int64)) % rows
 
 
 def region_of(

@@ -100,6 +100,7 @@ def test_enumerate_codewords_order_and_closure():
 def test_lex_grid_is_itertools_product(p, m):
     grid = lex_grid(p, m)
     assert grid.shape == (p**m, m)
+    assert grid.flags.c_contiguous
     assert grid.tolist() == [list(v) for v in itertools.product(range(p), repeat=m)]
 
 

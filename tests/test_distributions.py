@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lqn import (
     ContinuousTarget,
@@ -20,6 +22,7 @@ from lqn import (
     validate_continuous,
     validate_discrete,
 )
+from lqn.distributions import typical, typical_interval
 
 # frozen reference entropies, computed independently at 50-digit precision
 H_532 = 1.4854752972273344
@@ -171,6 +174,44 @@ def test_is_typical_matches_definition_away_from_boundary():
         )
         if abs(dev - tp.epsilon) > 1e-9:
             assert is_typical(v, t, tp) == (dev <= tp.epsilon)
+
+
+def _ulps_around(x: float, count: int) -> np.ndarray:
+    """x and the count doubles on each side of it."""
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return np.array(below[::-1] + above[1:])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 13]),
+    n=st.integers(1, 40),
+    epsilon=st.sampled_from([5e-324, 1e-300, 1e-15]) | st.floats(1e-12, 8.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+# an empty interval: no double is typical for this target at n=3
+@example(p=2, n=3, epsilon=1e-300, seed=2)
+def test_typical_interval_matches_typical(p, n, epsilon, seed):
+    probs = np.random.default_rng(seed).dirichlet(np.ones(p)).clip(1e-3)
+    target = validate_discrete(probs / probs.sum(), p)
+    a, b = typical_interval(n, target, epsilon)
+    for edge in (a, b):
+        ll = _ulps_around(edge, 50)
+        np.testing.assert_array_equal(typical(ll, n, target, epsilon), (ll >= a) & (ll <= b))
+
+
+def test_typical_interval_can_be_empty():
+    # -3H itself rounds away from typical when epsilon is below every nonzero gap
+    probs = np.random.default_rng(2).dirichlet(np.ones(2)).clip(1e-3)
+    target = validate_discrete(probs / probs.sum(), 2)
+    a, b = typical_interval(3, target, 1e-300)
+    assert a > b
+    assert not typical(np.float64(-3 * target.entropy_bits), 3, target, 1e-300)
+    for edge in (a, b):
+        assert not typical(_ulps_around(edge, 50), 3, target, 1e-300).any()
 
 
 def test_typical_pair_wraps_difference():

@@ -236,28 +236,74 @@ EDGE_FLOATS = [
 FLOATS = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
 
 
+def oracle_region_csv(region) -> bytes:
+    """region.csv as the row-by-row ",".join(map(str, row)) writer produced it."""
+    header = ["syndrome_index"] + [f"r{i}" for i in range(region.code.n)] + ["good"]
+    rows = (
+        [i, *rep, int(flag)]
+        for i, (rep, flag) in enumerate(zip(region.reps.tolist(), region.good_flags.tolist()))
+    )
+    return oracle_csv(header, rows)
+
+
+def random_region(p, n, k, seed):
+    """Uniform representatives and flags for an (n, k) code: p**(n-k) rows."""
+    rng = np.random.default_rng(seed)
+    code = make_code(np.eye(k, n, dtype=np.int64), p)
+    reps = rng.integers(0, p, size=(code.num_cosets, n), dtype=np.int64)
+    good = rng.random(code.num_cosets) < 0.5
+    # both flag values, in every region
+    good[:2] = True, False
+    return FundamentalRegion(code, reps, good, "ml", 0.5)
+
+
+# one- and two-digit symbols; p**(n-k) rows from 2 to 2197
+ROW_POWERS = {2: 11, 3: 7, 5: 4, 7: 3, 13: 3, 37: 2}
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    p=st.sampled_from([2, 3, 5, 7, 13]),
-    n=st.integers(2, 6),
-    size=st.integers(1, 40),
+    p=st.sampled_from(sorted(ROW_POWERS)),
+    m=st.integers(1, 11),
+    k=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_region_csv_matches_cell_oracle(p, n, size, seed):
-    rng = np.random.default_rng(seed)
-    reps = rng.integers(0, p, size=(size, n), dtype=np.int64)
-    good = rng.random(size) < 0.5
-    code = make_code(np.eye(1, n, dtype=np.int64), p)
-    region = FundamentalRegion(code, reps, good, "ml", 0.5)
-    header = ["syndrome_index"] + [f"r{i}" for i in range(n)] + ["good"]
+# row counts 16 and 243 cross a power of ten; 37**2 rows of two-digit symbols
+@example(p=2, m=4, k=1, seed=0)
+@example(p=3, m=5, k=2, seed=1)
+@example(p=7, m=3, k=1, seed=2)
+@example(p=13, m=2, k=3, seed=3)
+@example(p=37, m=2, k=1, seed=4)
+def test_region_csv_matches_cell_oracle(p, m, k, seed):
+    m = min(m, ROW_POWERS[p])
+    region = random_region(p, m + k, k, seed)
     with tempfile.TemporaryDirectory() as tmp:
         path = write_region_csv(Path(tmp) / "region.csv", region)
-        rows = ([i, *reps[i], good[i]] for i in range(size))
-        assert path.read_bytes() == oracle_csv(header, rows)
+        assert path.read_bytes() == oracle_region_csv(region)
         idx, back, flags = load_region_csv(path)
-    np.testing.assert_array_equal(idx, np.arange(size))
-    np.testing.assert_array_equal(back, reps)
-    np.testing.assert_array_equal(flags, good)
+    np.testing.assert_array_equal(idx, np.arange(region.size))
+    np.testing.assert_array_equal(back, region.reps)
+    np.testing.assert_array_equal(flags, region.good_flags)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda reps: np.where(reps == reps[3, 1], -1, reps),
+        lambda reps: np.where(reps == reps[3, 1], 13, reps),
+        lambda reps: reps[:-1],
+        lambda reps: reps[:, :-1],
+        lambda reps: reps[None],
+    ],
+    ids=["negative", "p", "missing-row", "missing-column", "extra-axis"],
+)
+def test_region_csv_refuses_bad_representatives(tmp_path, edit):
+    region = random_region(13, 3, 1, 5)
+    bad = FundamentalRegion(region.code, edit(region.reps), region.good_flags, "ml", 0.5)
+    with pytest.raises(ValueError, match="representatives"):
+        write_region_csv(tmp_path / "out" / "region.csv", bad)
+    # refused before the directory, the file or its .tmp was made
+    assert list(tmp_path.iterdir()) == []
 
 
 @settings(max_examples=60, deadline=None)

@@ -210,6 +210,8 @@ MAX_N = {2: 12, 3: 8, 5: 6}
 @example(p=2, sizes=(12, 10), seed=2, uniform=True)
 @example(p=3, sizes=(8, 4), seed=3, uniform=False)
 @example(p=5, sizes=(6, 5), seed=4, uniform=False)
+# first draws k = 7 and k = 6: 3**7 and 3**6 messages widen first_hit's weights
+@example(p=3, sizes=(8, 8), seed=1, uniform=True)
 def test_builders_match_brute_force_oracle(p, sizes, seed, uniform):
     rng = np.random.default_rng(seed)
     # small integer weights make many likelihood sums tie exactly
@@ -239,6 +241,32 @@ def test_builders_match_brute_force_oracle(p, sizes, seed, uniform):
             kept = partition.region_of(code, target, criterion, tp.epsilon, pick)
             assert np.array_equal(kept.reps, reps)
             assert np.array_equal(kept.good_flags, good)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    # 255/256 and 65535/65536 rows are where the weights widen to uint16 and uint32
+    rows=st.sampled_from([1, 2, 7, 255, 256, 257, 65535, 65536, 65537]),
+    cols=st.integers(1, 6),
+    levels=st.integers(1, 4),
+    density=st.sampled_from([0.0, 1e-4, 0.01, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_first_hit_matches_argmax(rows, cols, levels, density, seed):
+    rng = np.random.default_rng(seed)
+    # few distinct values, so the maximum of a column is tied in many rows
+    ll = rng.integers(0, levels, size=(rows, cols)).astype(np.float64)
+    np.testing.assert_array_equal(partition.first_hit(ll == ll.max(axis=0)), ll.argmax(axis=0))
+    mask = rng.random((rows, cols)) < density
+    # all-False columns fall back to row 0
+    mask[:, 0] = False
+    if cols > 1:
+        mask[:, 1] = False
+        mask[-1, 1] = True
+    expected = (mask | ~mask.any(axis=0)).argmax(axis=0)
+    row = partition.first_hit(mask)
+    np.testing.assert_array_equal(row, expected)
+    assert row.dtype == np.int64
 
 
 def test_quantize_fixture():
