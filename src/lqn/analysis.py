@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import MAX_CODEWORDS, check_cap, draw_full_rank, lex_grid, rate
+from .codes import MAX_CODEWORDS, check_cap, draw_full_rank, lex_grid, rate, substream_integers
 from .distributions import DiscreteTarget, alpha, log2_likelihoods, typical_interval
 from .partition import FundamentalRegion
 
@@ -131,6 +131,8 @@ class MatchabilityEstimate:
 
 # Trials x messages that one block of the Monte Carlo scan holds at once.
 _BLOCK_ELEMENTS = 1 << 15
+# Trials x words that one substream_integers call draws, in whole scan blocks (at least one).
+_DRAW_WORDS = 1 << 18
 
 
 def _substream(seed, t: int) -> np.random.Generator:
@@ -180,12 +182,15 @@ def estimate_match_probability(
     equivalent to any other point. Per-trial substreams make the tally
     independent of execution order.
 
-    Only the draws are made trial by trial. Blocks of trials, each holding at
-    most _BLOCK_ELEMENTS trials x messages, are scanned one coordinate at a
-    time; the rank test comes from the same codewords. A rank-deficient first
-    draw is redrawn through draw_full_rank on a fresh generator of its
-    substream, which then draws the shift, so every trial consumes its stream
-    exactly as a per-trial draw_full_rank would.
+    substream_integers draws up to _DRAW_WORDS of every trial's first words at
+    once: k*n generator entries, then n shift entries, the stream that one
+    integers call per trial gives. A trial it flags (a word numpy's bounded
+    draw would have redrawn) is drawn again on its own substream. Blocks of
+    trials, each holding at most _BLOCK_ELEMENTS trials x messages, are scanned
+    one coordinate at a time; the rank test comes from the same codewords. A
+    rank-deficient first draw is redrawn through draw_full_rank on a fresh
+    generator of its substream, which then draws the shift, so every trial
+    consumes its stream exactly as a per-trial draw_full_rank would.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -195,28 +200,30 @@ def estimate_match_probability(
     eps = 1.0 / n if epsilon is None else float(epsilon)
     bound = lemma1_bound(n, rate(k, n, p), p, target.entropy_bits, eps)
     check_cap(p**k, None, MAX_CODEWORDS, "codewords")
+    np.random.SeedSequence((seed, 0))  # numpy refuses a bad seed here, before any draw
     # lex_grid is C-ordered: numpy's integer matmul has no BLAS, and strided
     # rows slowed 2**21 messages several-fold
     msgs = lex_grid(p, k)
     accept = typical_interval(n, target, eps)
+    words = k * n + n
     block = max(1, _BLOCK_ELEMENTS // p**k)
+    chunk = block * max(1, _DRAW_WORDS // (block * words))
     failures = 0
-    for start in range(0, trials, block):
-        size = min(block, trials - start)
-        gens = np.empty((size, k, n), dtype=np.int64)
-        shifts = np.empty((size, n), dtype=np.int64)
-        for i in range(size):
-            rng = _substream(seed, start + i)
-            gens[i] = rng.integers(0, p, size=(k, n), dtype=np.int64)
-            shifts[i] = rng.integers(0, p, size=n, dtype=np.int64)
-        deficient, fails = _scan(gens, shifts, msgs, target, n, accept)
-        redo = np.flatnonzero(deficient)
-        for i in redo.tolist():
-            rng = _substream(seed, start + i)
-            gens[i] = draw_full_rank(rng, k, n, p).generator
-            shifts[i] = rng.integers(0, p, size=n, dtype=np.int64)
-        fails[redo] = _scan(gens[redo], shifts[redo], msgs, target, n, accept)[1]
-        failures += int(fails.sum())
+    for first in range(0, trials, chunk):
+        drawn, rejected = substream_integers(seed, first, min(chunk, trials - first), words, p)
+        for i in np.flatnonzero(rejected).tolist():
+            drawn[i] = _substream(seed, first + i).integers(0, p, size=words, dtype=np.int64)
+        for start in range(0, len(drawn), block):
+            gens = drawn[start : start + block, : k * n].reshape(-1, k, n)
+            shifts = drawn[start : start + block, k * n :]
+            deficient, fails = _scan(gens, shifts, msgs, target, n, accept)
+            redo = np.flatnonzero(deficient)
+            for i in redo.tolist():
+                rng = _substream(seed, first + start + i)
+                gens[i] = draw_full_rank(rng, k, n, p).generator
+                shifts[i] = rng.integers(0, p, size=n, dtype=np.int64)
+            fails[redo] = _scan(gens[redo], shifts[redo], msgs, target, n, accept)[1]
+            failures += int(fails.sum())
     return MatchabilityEstimate(
         trials=trials,
         failures=failures,

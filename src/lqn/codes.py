@@ -4,6 +4,11 @@ A code with k x n generator G is the row space {u.G mod p}. Adding p.Z^n
 turns it into a lattice; membership and coset bookkeeping go through the
 parity-check matrix. Generators are drawn entrywise uniform from a seeded
 PCG64 stream and resampled until full rank.
+
+substream_integers replays, for a whole range of trials t at once, the first
+draws of default_rng(SeedSequence((seed, t))).integers(0, p): numpy's
+SeedSequence hash, PCG64's 128-bit LCG with its XSL-RR output, and Lemire's
+bounded draw, each as whole-array passes over the trials.
 """
 
 from __future__ import annotations
@@ -20,6 +25,15 @@ from .zplinalg import ensure_prime, mod_reduce, rref
 MAX_CODEWORDS = 1 << 22
 MAX_POINTS = 1 << 24
 RESAMPLE_CAP = 1000
+
+# numpy's SeedSequence constants, as Python ints: numpy scalar overflow warns
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+# PCG64's 128-bit LCG multiplier, high and low 64-bit halves
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
 
 def check_cap(count: int, cap: int | None, default: int, what: str) -> None:
@@ -105,6 +119,114 @@ def sample_generator(seed, k: int, n: int, p: int) -> LinearCode:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return draw_full_rank(rng, k, n, p)
+
+
+def _hashmix(value: np.ndarray, const: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hashmix on a uint32 array; also returns the next constant."""
+    value = value ^ const
+    const = const * _MULT_A & _M32
+    value = value * const
+    return value ^ value >> 16, const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return mixed ^ mixed >> 16
+
+
+def _seed_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """SeedSequence(words).generate_state(4, uint64), one column per trial.
+
+    entropy holds the uint32 entropy words, each an array over the trials.
+    """
+    const = _INIT_A
+    pool = []
+    for i in range(_POOL_SIZE):
+        word = entropy[i] if i < len(entropy) else np.zeros_like(entropy[0])
+        word, const = _hashmix(word, const)
+        pool.append(word)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                word, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], word)
+    for extra in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            word, const = _hashmix(extra, const)
+            pool[dst] = _mix(pool[dst], word)
+    const = _INIT_B
+    halves = []
+    for i in range(2 * _POOL_SIZE):
+        word = pool[i % _POOL_SIZE] ^ const
+        const = const * _MULT_B & _M32
+        word = word * const
+        halves.append((word ^ word >> 16).astype(np.uint64))
+    return [halves[2 * j] | halves[2 * j + 1] << 32 for j in range(_POOL_SIZE)]
+
+
+def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of each a * b, a uint64 array and b < 2**64, from 32-bit halves."""
+    a0, a1 = a & _M32, a >> 32
+    b0, b1 = b & _M32, b >> 32
+    low = a0 * b0
+    mid = a1 * b0 + (low >> 32)
+    cross = (mid & _M32) + a0 * b1
+    return a1 * b1 + (mid >> 32) + (cross >> 32)
+
+
+def _add128(hi, lo, add_hi, add_lo):
+    """(hi, lo) + (add_hi, add_lo) mod 2**128, each half a uint64 array."""
+    lo = lo + add_lo
+    return hi + add_hi + (lo < add_lo), lo
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One step of PCG64's LCG: state * multiplier + inc mod 2**128."""
+    prod_hi = _mulhi(lo, _PCG_MULT_LO) + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI
+    return _add128(prod_hi, lo * _PCG_MULT_LO, inc_hi, inc_lo)
+
+
+def substream_integers(seed, start: int, trials: int, words: int, p: int):
+    """The first draws of integers(0, p, size=words) on the substreams (seed, t).
+
+    Returns (values, rejected) for t in [start, start + trials): row t - start
+    of the int64 values equals
+    default_rng(SeedSequence((seed, t))).integers(0, p, size=words) unless
+    rejected flags that trial. Each PCG64 output gives two 32-bit words, the
+    low half first, and a word w becomes (w * p) >> 32. Numpy's Lemire loop
+    throws w away and draws again when (w * p) mod 2**32 < (2**32 - p) mod p;
+    a trial with such a word is flagged and its row is not numpy's draw.
+    Needs 2 <= p < 2**32, where numpy draws 32-bit words, and
+    start + trials <= 2**64.
+    """
+    if not 2 <= p < 1 << 32:
+        raise ValueError(f"need 2 <= p < 2**32, got {p}")
+    # numpy's own coercion of a seed to 32-bit words; np.random loads lazily,
+    # so it stays out of lqn's import time
+    seed_words = np.random.bit_generator._coerce_to_uint32_array(seed)
+    # the entropy of (seed, t) is seed's words, then t's: one below 2**32, two above
+    t = np.arange(start, start + trials, dtype=np.uint64)
+    columns = [np.full(trials, w, dtype=np.uint32) for w in seed_words]
+    columns += [(t & _M32).astype(np.uint32), (t >> 32).astype(np.uint32)]
+    split = min(max((1 << 32) - start, 0), trials)
+    one_word = _seed_state([c[:split] for c in columns[:-1]])
+    two_words = _seed_state([c[split:] for c in columns])
+    seed_hi, seed_lo, seq_hi, seq_lo = (np.concatenate(h) for h in zip(one_word, two_words))
+    # PCG64's srandom: inc = 2 * seq + 1; zero state stepped to inc, plus the seed, stepped
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    hi, lo = _pcg_step(*_add128(inc_hi, inc_lo, seed_hi, seed_lo), inc_hi, inc_lo)
+    values = np.empty((trials, words), dtype=np.int64)
+    rejected = np.zeros(trials, dtype=bool)
+    for j in range(words):
+        if j % 2 == 0:
+            hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+            # XSL-RR: the halves xor-ed, rotated right by the state's top six bits
+            x, rot = hi ^ lo, hi >> 58
+            x = x >> rot | x << ((64 - rot) & 63)
+        scaled = ((x >> 32 * (j % 2)) & _M32) * p
+        rejected |= (scaled & _M32) < ((1 << 32) - p) % p
+        values[:, j] = scaled >> 32
+    return values, rejected
 
 
 def lex_grid(p: int, m: int) -> np.ndarray:

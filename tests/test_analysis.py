@@ -227,7 +227,8 @@ def _no_draw(*args):
 
 
 def _forbid_draws(monkeypatch):
-    """Any trial's first draw (its substream) or redraw fails the test."""
+    """Any trial's first draw (in bulk or on its substream) or redraw fails the test."""
+    monkeypatch.setattr(lqn.analysis, "substream_integers", _no_draw)
     monkeypatch.setattr(lqn.analysis, "_substream", _no_draw)
     monkeypatch.setattr(lqn.analysis, "draw_full_rank", _no_draw)
 
@@ -251,6 +252,13 @@ def test_estimator_refuses_a_bad_dimension_before_any_draw(monkeypatch, k):
     _forbid_draws(monkeypatch)
     with pytest.raises(ValueError, match="k="):
         estimate_match_probability(P532, 6, k, 10, 5)
+
+
+@pytest.mark.parametrize("seed", [-1, (5, -1)], ids=str)
+def test_estimator_refuses_a_negative_seed_before_any_draw(monkeypatch, seed):
+    _forbid_draws(monkeypatch)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        estimate_match_probability(P532, 6, 1, 10, seed)
 
 
 def _oracle_failures(target, n, k, trials, seed):
@@ -322,6 +330,39 @@ def test_estimator_matches_per_trial_oracle(monkeypatch, probs, n, k, trials, se
     assert len(redraws) == sum(
         _first_draw_is_deficient(seed, t, k, n, p) for t in range(trials)
     )
+
+
+def _lemire_redraws(seed, t, words, p):
+    """Does numpy's bounded draw throw away one of trial t's first 32-bit words?
+
+    Read from the raw PCG64 outputs of the substream, low half first.
+    """
+    raw = np.random.PCG64(np.random.SeedSequence((seed, t))).random_raw((words + 1) // 2)
+    halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()[:words]
+    return bool((((halves * p) & 0xFFFFFFFF) < (2**32 - p) % p).any())
+
+
+def test_estimator_redraws_a_rejected_word_on_its_substream(monkeypatch):
+    # at p = 3,384,529 about 7.9e-4 of the 32-bit words fall in the rejection
+    # zone of numpy's bounded draw; at seed 18 trial 0 has one, trial 1 none
+    p, n, k, trials, seed = 3384529, 2, 1, 2, 18
+    flagged = [_lemire_redraws(seed, t, k * n + n, p) for t in range(trials)]
+    assert flagged == [True, False]
+    # 2000 heavy symbols: a pair is typical iff both of its symbols are heavy
+    probs = np.full(p, 1e-6 / (p - 2000))
+    probs[:2000] = (1 - 1e-6) / 2000
+    target = validate_discrete(probs, p)
+    opened = []
+    substream = lqn.analysis._substream
+
+    def counting_substream(*args):
+        opened.append(args)
+        return substream(*args)
+
+    monkeypatch.setattr(lqn.analysis, "_substream", counting_substream)
+    est = estimate_match_probability(target, n, k, trials, seed)
+    assert opened == [(seed, 0)]
+    assert est.failures == _oracle_failures(target, n, k, trials, seed)
 
 
 def test_ensemble_mean_divergence_improves_with_block_length():

@@ -305,6 +305,14 @@ def test_estimate_over_the_codeword_cap_builds_no_region(tmp_path, capsys, monke
     ]
 
 
+def test_estimate_refuses_a_negative_seed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(lqn.cli, "build_region", _refuse)
+    out = tmp_path / "out"
+    assert run(["bounds", "--dist", "w3", "--estimate", "--seed", -1, "--out-dir", out]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == "error: expected non-negative integer\n"
+
+
 def test_epsilon_override_lands_in_report(tmp_path):
     out = tmp_path / "eps"
     assert run(

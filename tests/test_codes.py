@@ -21,7 +21,7 @@ from lqn import (
     validate_discrete,
 )
 from lqn.cases import builtin_cases
-from lqn.codes import MAX_CODEWORDS, lex_grid
+from lqn.codes import MAX_CODEWORDS, lex_grid, substream_integers
 
 RATE_1_2_37 = 2.604726682814475  # log2(37)/2, frozen at 50-digit precision
 
@@ -79,6 +79,56 @@ def test_sample_generator_validates_inputs():
         sample_generator(1, 4, 4, 5)
     with pytest.raises(ValueError):
         sample_generator(1, 1, 4, 6)
+
+
+def _numpy_draws(seed, start, trials, words, p):
+    """Each trial's integers(0, p, size=words) on its own substream (seed, t)."""
+    return np.array([
+        np.random.default_rng(np.random.SeedSequence((seed, t)))
+        .integers(0, p, size=words, dtype=np.int64)
+        for t in range(start, start + trials)
+    ])
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 13, 37, 3384529, 4194301])
+@pytest.mark.parametrize("seed", [0, 2**32 + 7, 2**64 + 1, (1, 2)], ids=str)
+def test_substream_integers_is_numpys_per_trial_draw(p, seed):
+    # from start 2**32 - 2, t gains a second entropy word at its third trial
+    for start in (0, 2**32 - 2):
+        values, rejected = substream_integers(seed, start, 40, 7, p)
+        assert values.dtype == np.int64
+        assert values.shape == (40, 7)
+        want = _numpy_draws(seed, start, 40, 7, p)
+        assert np.array_equal((values != want).any(axis=1), rejected)
+
+
+def test_substream_integers_flags_exactly_the_trials_numpy_redraws():
+    # about 7.9e-4 of the 32-bit words at p = 3,384,529 fall in Lemire's
+    # rejection zone; numpy draws again there and the row moves on
+    p = 3384529
+    values, rejected = substream_integers(0, 0, 3000, 4, p)
+    assert int(rejected.sum()) == 8
+    want = _numpy_draws(0, 0, 3000, 4, p)
+    assert np.array_equal((values != want).any(axis=1), rejected)
+    assert np.array_equal(values[~rejected], want[~rejected])
+
+
+def test_substream_integers_refuses_a_modulus_past_32_bits():
+    with pytest.raises(ValueError, match=r"2 <= p < 2\*\*32"):
+        substream_integers(0, 0, 1, 1, 1 << 32)
+
+
+@pytest.mark.parametrize("k, n", [(3, 6), (3, 5)])
+def test_one_draw_of_generator_and_shift_is_the_two_draws(k, n):
+    # the Monte Carlo estimator draws k*n generator entries and the n shift
+    # entries in one call; at odd k*n the shift starts on a buffered half word
+    for t in range(3000):
+        one = np.random.default_rng(np.random.SeedSequence((0, t)))
+        two = np.random.default_rng(np.random.SeedSequence((0, t)))
+        both = one.integers(0, 7, size=k * n + n, dtype=np.int64)
+        gen = two.integers(0, 7, size=(k, n), dtype=np.int64)
+        shift = two.integers(0, 7, size=n, dtype=np.int64)
+        assert np.array_equal(both, np.concatenate([gen.ravel(), shift]))
 
 
 def test_enumerate_codewords_order_and_closure():
