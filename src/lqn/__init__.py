@@ -32,11 +32,9 @@ from .continuous import (
     ContinuousConstruction,
     ContinuousReport,
     LiftedCell,
-    LinearPiece,
     bin_density,
     build_continuous,
     continuous_divergence,
-    fold_density,
     lift_region,
 )
 from .distributions import (

@@ -184,13 +184,13 @@ def estimate_match_probability(
 
     substream_integers draws up to _DRAW_WORDS of every trial's first words at
     once: k*n generator entries, then n shift entries, the stream that one
-    integers call per trial gives. A trial it flags (a word numpy's bounded
-    draw would have redrawn) is drawn again on its own substream. Blocks of
-    trials, each holding at most _BLOCK_ELEMENTS trials x messages, are scanned
-    one coordinate at a time; the rank test comes from the same codewords. A
-    rank-deficient first draw is redrawn through draw_full_rank on a fresh
-    generator of its substream, which then draws the shift, so every trial
-    consumes its stream exactly as a per-trial draw_full_rank would.
+    integers call per trial gives. Blocks of trials, each holding at most
+    _BLOCK_ELEMENTS trials x messages, are scanned one coordinate at a time;
+    the rank test comes from the same codewords. A rank-deficient first draw,
+    or one substream_integers flags (a word numpy's bounded draw would have
+    redrawn), is redrawn through draw_full_rank on a fresh generator of its
+    substream, which then draws the shift, so every trial consumes its stream
+    exactly as a per-trial draw_full_rank would.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -211,13 +211,11 @@ def estimate_match_probability(
     failures = 0
     for first in range(0, trials, chunk):
         drawn, rejected = substream_integers(seed, first, min(chunk, trials - first), words, p)
-        for i in np.flatnonzero(rejected).tolist():
-            drawn[i] = _substream(seed, first + i).integers(0, p, size=words, dtype=np.int64)
         for start in range(0, len(drawn), block):
             gens = drawn[start : start + block, : k * n].reshape(-1, k, n)
             shifts = drawn[start : start + block, k * n :]
             deficient, fails = _scan(gens, shifts, msgs, target, n, accept)
-            redo = np.flatnonzero(deficient)
+            redo = np.flatnonzero(deficient | rejected[start : start + block])
             for i in redo.tolist():
                 rng = _substream(seed, first + start + i)
                 gens[i] = draw_full_rank(rng, k, n, p).generator

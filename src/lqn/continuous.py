@@ -8,14 +8,16 @@ lattice by delta and attaching a delta-cube to every cell point recovers the
 continuous picture, whose divergence has a closed form for piecewise-linear
 densities.
 
-All breakpoint arithmetic (knots, bin edges, clipping) runs in exact
-rationals so no mass ever straddles a boundary due to float fuzz; only the
-final logarithmic integrals are evaluated in floats.
+bin_density does the wrap and the binning in one pass over the sorted cut
+points. All of it (knots, bin edges, seam, chunk endpoint values) runs in
+exact rationals so no mass ever straddles a boundary due to float fuzz; only
+the final logarithmic integrals are evaluated in floats.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,44 +34,6 @@ from .distributions import (
 from .errors import NotPermissibleError
 from .partition import FundamentalRegion, build_region
 from .zplinalg import ensure_prime
-
-
-@dataclass(frozen=True)
-class LinearPiece:
-    """One linear segment of the wrapped density, on [x0, x1)."""
-
-    x0: Fraction
-    x1: Fraction
-    y0: Fraction
-    y1: Fraction
-
-    def value(self, t: Fraction) -> Fraction:
-        if self.x1 == self.x0:
-            return self.y0
-        return self.y0 + (self.y1 - self.y0) * (t - self.x0) / (self.x1 - self.x0)
-
-
-def fold_density(target: ContinuousTarget) -> tuple[LinearPiece, ...]:
-    """Wrap the density onto [0, 2A): [0, A) stays, [-A, 0) moves up by 2A."""
-    a = Fraction(target.half_width)
-    pieces = [
-        LinearPiece(Fraction(x0), Fraction(x1), Fraction(y0), Fraction(y1))
-        for (x0, y0), (x1, y1) in zip(target.knots, target.knots[1:])
-    ]
-    lower = _clip(pieces, -a, Fraction(0))
-    shifted = [LinearPiece(pc.x0 + 2 * a, pc.x1 + 2 * a, pc.y0, pc.y1) for pc in lower]
-    return tuple(_clip(pieces, Fraction(0), a) + shifted)
-
-
-def _clip(pieces, lo: Fraction, hi: Fraction) -> list[LinearPiece]:
-    """Restrict the piece list to [lo, hi), keeping endpoint values exact."""
-    out = []
-    for pc in pieces:
-        u = max(pc.x0, lo)
-        v = min(pc.x1, hi)
-        if u < v:
-            out.append(LinearPiece(u, v, pc.value(u), pc.value(v)))
-    return out
 
 
 def _piece_log_integral(c0: float, c1: float, width: float) -> float:
@@ -104,25 +68,37 @@ class BinnedDensity:
 
 
 def bin_density(target: ContinuousTarget, p: int) -> BinnedDensity:
-    """Fold once, clip each bin once; p must be prime."""
+    """Wrap the density onto [0, 2A) and bin it in one pass; p must be prime.
+
+    The sorted cuts are the bin edges, every interior knot moved into [0, 2A)
+    and the seam A, so each chunk between two cuts lies in one bin and on one
+    knot segment, read at u - s with s = 0 below the seam and 2A from it on.
+    """
     p = ensure_prime(p)
-    delta = 2 * Fraction(target.half_width) / p
-    folded = fold_density(target)
+    a = Fraction(target.half_width)
+    delta = 2 * a / p
+    xs = [Fraction(x) for x, _ in target.knots]
+    fs = [Fraction(f) for _, f in target.knots]
+    cuts = sorted({y * delta for y in range(p + 1)} | {x % (2 * a) for x in xs[1:-1]} | {a})
+    chunks = [[] for _ in range(p)]
+    for u, v in zip(cuts, cuts[1:]):
+        s = 0 if u < a else 2 * a
+        i = bisect_right(xs, u - s) - 1
+        slope = (fs[i + 1] - fs[i]) / (xs[i + 1] - xs[i])
+        fu, fv = (fs[i] + slope * (t - s - xs[i]) for t in (u, v))
+        chunks[u // delta].append((v - u, fu, fv))
     masses, r = [], Fraction(1)
     mean_log2 = np.empty(p, dtype=np.float64)
-    for y in range(p):
-        chunks = _clip(folded, y * delta, (y + 1) * delta)
-        vals = [v for pc in chunks for v in (pc.y0, pc.y1)]
-        lo = min(vals, default=0)
+    for y, bin_chunks in enumerate(chunks):
+        vals = [f for _, fu, fv in bin_chunks for f in (fu, fv)]
+        lo = min(vals)
         if lo <= 0:
             raise NotPermissibleError("density touches zero inside a bin")
-        masses.append(
-            sum(((pc.y0 + pc.y1) * (pc.x1 - pc.x0) / 2 for pc in chunks), Fraction(0))
-        )
+        masses.append(sum(((fu + fv) * w / 2 for w, fu, fv in bin_chunks), Fraction(0)))
         r = min(r, lo / max(vals))
         acc = 0.0
-        for pc in chunks:
-            acc += _piece_log_integral(float(pc.y0), float(pc.y1), float(pc.x1 - pc.x0))
+        for w, fu, fv in bin_chunks:
+            acc += _piece_log_integral(float(fu), float(fv), float(w))
         mean_log2[y] = acc / math.log(2.0) / float(delta)
     mean_log2.setflags(write=False)
     total = sum(masses, Fraction(0))
@@ -176,7 +152,7 @@ def build_continuous(
 ) -> ContinuousConstruction:
     """Bin the density once and build the discrete region for the binned pmf;
     k=None takes select_k's closest-rate k for the binned pmf."""
-    # before the fold, and before trial division tests a huge p for primality
+    # before binning, and before trial division tests a huge p for primality
     check_cap(p**n, max_points, MAX_POINTS, "points")
     bins = bin_density(target, p)
     k = select_k(p, n, bins.binned, "closest") if k is None else k

@@ -32,6 +32,7 @@ import numpy as np
 
 from .codes import MAX_POINTS, LinearCode, check_cap, lex_grid
 from .distributions import DiscreteTarget, TypicalityParams, typical, typical_interval
+from .errors import DimensionMismatchError
 from .zplinalg import mod_reduce
 
 
@@ -160,6 +161,8 @@ def build_region(
 ) -> FundamentalRegion:
     """Select each coset's representative by criterion and build the region."""
     tp = TypicalityParams.default(code.n) if tp is None else tp
+    if tp.n != code.n:
+        raise DimensionMismatchError(f"typicality block length {tp.n} != code length {code.n}")
     pick = choose(code, target, criterion, tp.epsilon, max_points)
     return region_of(code, target, criterion, tp.epsilon, pick)
 

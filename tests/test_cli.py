@@ -380,13 +380,13 @@ def test_continuous_command(tmp_path):
 
 def test_continuous_command_folds_once(tmp_path, monkeypatch):
     calls = []
-    fold = lqn.continuous.fold_density
+    bin_density = lqn.continuous.bin_density
 
-    def counting_fold(target):
+    def counting_bin(target, p):
         calls.append(target)
-        return fold(target)
+        return bin_density(target, p)
 
-    monkeypatch.setattr(lqn.continuous, "fold_density", counting_fold)
+    monkeypatch.setattr(lqn.continuous, "bin_density", counting_bin)
     assert run(
         ["continuous", "--dist", "triangle", "--p", 7, "--n", 3, "--out-dir", tmp_path]
     ) == 0
@@ -411,8 +411,8 @@ def _refuse(*args):
 @pytest.mark.parametrize("p", [1000003, 2305843009213693951])
 def test_capped_continuous_folds_nothing(tmp_path, capsys, monkeypatch, p):
     # p**2 is over MAX_POINTS, or over the int64 encodings; the cap comes before
-    # the fold and before the trial-division primality test
-    monkeypatch.setattr(lqn.continuous, "fold_density", _refuse)
+    # the binning and before the trial-division primality test
+    monkeypatch.setattr(lqn.continuous, "bin_density", _refuse)
     monkeypatch.setattr(lqn.continuous, "ensure_prime", _refuse)
     out = tmp_path / "out"
     argv = ["continuous", "--dist", "triangle", "--p", p, "--n", 2, "--k", 1]

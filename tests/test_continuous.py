@@ -10,13 +10,14 @@ import pytest
 import lqn.continuous
 from lqn import (
     ContinuousTarget,
+    DimensionMismatchError,
     NotPermissibleError,
     TooLargeError,
+    TypicalityParams,
     analyze_region,
     bin_density,
     build_continuous,
     continuous_divergence,
-    fold_density,
     lift_region,
     select_k,
     validate_continuous,
@@ -45,26 +46,6 @@ TRIANGLE_BIN_PROBS = [
 ]
 TRIANGLE_R = 13 / 27  # seam bin spans the fold point: min 1/16, max 27/208
 TRIANGLE_L0 = -0.20203496124407832  # quadrature reference for bin 0
-
-
-def test_fold_density_exact_pieces():
-    folded = fold_density(TRIANGLE)
-    assert len(folded) == 2
-    lo, hi = folded
-    assert (lo.x0, lo.x1) == (Fraction(0), Fraction(1))
-    assert (lo.y0, lo.y1) == (Fraction(15, 16), Fraction(1, 16))
-    assert (hi.x0, hi.x1) == (Fraction(1), Fraction(2))
-    assert (hi.y0, hi.y1) == (Fraction(1, 16), Fraction(15, 16))
-    # total mass survives the fold exactly
-    mass = sum((pc.y0 + pc.y1) * (pc.x1 - pc.x0) / 2 for pc in folded)
-    assert mass == 1
-
-
-def test_fold_density_flat():
-    folded = fold_density(FLAT)
-    assert all(pc.y0 == pc.y1 == Fraction(1, 2) for pc in folded)
-    assert folded[0].x0 == 0
-    assert folded[-1].x1 == 2
 
 
 def test_choose_delta_exact():
@@ -107,6 +88,56 @@ def test_bin_pdf_matches_rational_oracle_p5():
     total = sum(masses)
     binned = bin_density(TRIANGLE, 5).binned
     assert binned.probs.tolist() == [float(m / total) for m in masses]
+
+
+# knots off every odd-prime bin grid, and a piece that straddles 0
+SKEWED = validate_continuous(
+    1.0, [(-1.0, 0.25), (-0.375, 0.5), (0.625, 0.375), (1.0, 1.375)]
+)
+
+
+def _per_bin_oracle(target, p):
+    """Probs, r, eta and mean_log2 with each bin cut on its own, in exact rationals."""
+    a = Fraction(target.half_width)
+    knots = [(Fraction(x), Fraction(f)) for x, f in target.knots]
+
+    def density(x):  # the unwrapped polyline, x in [-A, A]
+        for (x0, f0), (x1, f1) in zip(knots, knots[1:]):
+            if x0 <= x <= x1:
+                return f0 + (f1 - f0) * (x - x0) / (x1 - x0)
+
+    delta = 2 * a / p
+    wrapped = {x % (2 * a) for x, _ in knots} | {a}
+    masses, ratios, mean_log2 = [], [], []
+    for b in range(p):
+        lo, hi = b * delta, (b + 1) * delta
+        cuts = sorted({lo, hi} | {c for c in wrapped if lo < c < hi})
+        chunks = []
+        for u, v in zip(cuts, cuts[1:]):
+            s = 0 if u + v < 2 * a else 2 * a  # the midpoint's side of the seam
+            chunks.append((v - u, density(u - s), density(v - s)))
+        vals = [f for _, fu, fv in chunks for f in (fu, fv)]
+        masses.append(sum((fu + fv) * w / 2 for w, fu, fv in chunks))
+        ratios.append(min(vals) / max(vals))
+        acc = 0.0
+        for w, fu, fv in chunks:
+            acc += _piece_log_integral(float(fu), float(fv), float(w))
+        mean_log2.append(acc / math.log(2.0) / float(delta))
+    total = sum(masses)
+    r = min(ratios)
+    return [float(m / total) for m in masses], float(r), float(delta / r), mean_log2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 31])
+@pytest.mark.parametrize("name", ["skewed", "triangle"])
+def test_bin_density_matches_per_bin_rational_oracle(name, p):
+    target = {"skewed": SKEWED, "triangle": TRIANGLE}[name]
+    probs, r, eta, mean_log2 = _per_bin_oracle(target, p)
+    bins = bin_density(target, p)
+    assert bins.binned.probs.tolist() == probs
+    assert bins.r == r
+    assert bins.eta == eta
+    assert bins.mean_log2.tolist() == mean_log2
 
 
 def test_bin_pdf_rejects_zero_touching_pieces():
@@ -183,12 +214,18 @@ def test_continuous_divergence_reads_the_construction_bins(monkeypatch):
 def test_build_continuous_checks_point_cap_before_folding(monkeypatch, p):
     # p**2 is over MAX_POINTS (1000003) or over the int64 encodings (2**61 - 1)
     def refuse(*args):
-        raise AssertionError("folded or tested primality before the point cap")
+        raise AssertionError("binned or tested primality before the point cap")
 
-    monkeypatch.setattr(lqn.continuous, "fold_density", refuse)
+    monkeypatch.setattr(lqn.continuous, "bin_density", refuse)
     monkeypatch.setattr(lqn.continuous, "ensure_prime", refuse)
     with pytest.raises(TooLargeError):
         build_continuous(TRIANGLE, p, 2, 1, 0)
+
+
+def test_build_continuous_rejects_block_length_mismatch():
+    tp = TypicalityParams(n=3, epsilon=0.5)
+    with pytest.raises(DimensionMismatchError, match="block length 3 != code length 5"):
+        build_continuous(TRIANGLE, 3, 5, 2, 0, tp=tp)
 
 
 def test_build_continuous_rejects_unknown_criterion():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import lqn.partition as partition
 from lqn import (
+    DimensionMismatchError,
     FundamentalRegion,
     TooLargeError,
     TypicalityParams,
@@ -172,6 +173,18 @@ def test_build_rejects_modulus_mismatch():
     t5 = validate_discrete([0.2] * 5, 5)
     with pytest.raises(ValueError):
         build_ml_partition(C3, t5)
+
+
+@pytest.mark.parametrize("criterion", ["ml", "typicality"])
+def test_build_rejects_block_length_mismatch(monkeypatch, criterion):
+    # a typicality test for 3-blocks says nothing about 5-dimensional points
+    def refuse(*args):
+        raise AssertionError("selected before checking the block length")
+
+    monkeypatch.setattr(partition, "choose", refuse)
+    code = sample_generator(3, 2, 5, 3)
+    with pytest.raises(DimensionMismatchError, match="block length 3 != code length 5"):
+        build_region(code, P532, criterion, tp=TypicalityParams(n=3, epsilon=0.5))
 
 
 @pytest.mark.parametrize("criterion", ["ML", "Typicality", "", "lexicographic"])
