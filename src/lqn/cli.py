@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands: analyze, search, sweep-rate, reproduce, bounds, continuous.
-Outputs land in --out-dir as JSON and CSV files with stable bytes: the same
-command with the same seed writes identical files. Exit codes: 0 success,
+Each command returns its files' bytes and a message; main writes the files
+into --out-dir with io.write_bundle, then prints the message. The bytes are
+stable: the same command with the same seed writes identical files. Exit codes: 0 success,
 2 invalid usage or configuration, 3 enumeration cap exceeded or a region
 too large to allocate or encode.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import os
-from pathlib import Path
 
 from . import io
 from .analysis import (
@@ -44,8 +44,7 @@ def _typ_params(n: int, args) -> TypicalityParams:
 
 def _resolve_discrete(args) -> tuple[DiscreteTarget, int, BuiltinCase | None]:
     """Target and block length from --dist/--n, its p**n points held to the cap."""
-    case = builtin_cases().get(args.dist)
-    target = _file_target(args.dist, DiscreteTarget) if case is None else case.target
+    target, case = _target(args.dist, DiscreteTarget), builtin_cases().get(args.dist)
     if case is None and args.n is None:
         raise LqnError("--n is required for file targets")
     n = case.n if args.n is None else _at_least("--n", args.n, 2)
@@ -53,9 +52,12 @@ def _resolve_discrete(args) -> tuple[DiscreteTarget, int, BuiltinCase | None]:
     return target, n, case
 
 
-def _file_target(path, kind: type):
-    """A target read from a JSON file; it must be an instance of kind."""
-    target = io.load_distribution_file(path)
+def _target(name, kind: type):
+    """The bundled target called name, else the one in the JSON file at that path;
+    it must be an instance of kind. A bundled name wins over a file of that name."""
+    bundled = {key: case.target for key, case in builtin_cases().items()}
+    bundled.update(continuous_builtins())
+    target = bundled[name] if name in bundled else io.load_distribution_file(name)
     if not isinstance(target, kind):
         name = kind.__name__.removesuffix("Target").lower()
         raise LqnError(f"this command needs a {name} target")
@@ -92,8 +94,9 @@ def _run_keys(dist, seed, code) -> dict:
     return {"dist": dist, "seed": seed, "p": code.p, "n": code.n, "k": code.k}
 
 
-def _emit_bundle(out: Path, dist, seed, trial, region, target, trial_rows=None, **extra):
-    """Analyze region; write report, marginals, region, and trials when given.
+def _emit_bundle(dist, seed, trial, region, target, trial_rows=None, **extra):
+    """Analyze region; return its report, and the report, marginals, region and
+    trials (when given) as files.
 
     The provenance is read from region, so it names what was built.
     """
@@ -105,12 +108,14 @@ def _emit_bundle(out: Path, dist, seed, trial, region, target, trial_rows=None, 
         "epsilon": region.epsilon,
         **extra,
     }
-    io.write_json(out / "report.json", io.report_payload(report, provenance))
-    io.write_marginals_csv(out / "marginals.csv", report.marginal_distributions)
-    io.write_region_csv(out / "region.csv", region)
+    files = {
+        "report.json": io.json_bytes(io.report_payload(report, provenance)),
+        "marginals.csv": io.marginals_csv(report.marginal_distributions),
+        "region.csv": io.region_csv(region),
+    }
     if trial_rows is not None:
-        io.write_trials_csv(out / "trials.csv", trial_rows)
-    return report
+        files["trials.csv"] = io.trials_csv(trial_rows)
+    return files, report
 
 
 def _search(target, n, k, criterion, tp, seed, trials, max_points, direction="minimize"):
@@ -128,19 +133,17 @@ def _search(target, n, k, criterion, tp, seed, trials, max_points, direction="mi
     return rows, best
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[dict, str]:
     target, n, case = _resolve_discrete(args)
     k = _pick_k(args, case, target, n)
     tp = _typ_params(n, args)
-    out = Path(args.out_dir)
     code = sample_generator((args.seed, 0), k, n, target.p)
     region = build_region(code, target, args.criterion, tp=tp, max_points=_max_points(args))
-    report = _emit_bundle(out, args.dist, args.seed, 0, region, target)
-    print(f"D_per_dim={report.D_per_dim!r} bits, wrote {out / 'report.json'}")
-    return 0
+    files, report = _emit_bundle(args.dist, args.seed, 0, region, target)
+    return files, f"D_per_dim={report.D_per_dim!r} bits, wrote {{paths[report.json]}}"
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> tuple[dict, str]:
     target, n, case = _resolve_discrete(args)
     k = _pick_k(args, case, target, n)
     _at_least("--trials", args.trials)
@@ -150,12 +153,11 @@ def cmd_search(args) -> int:
         args.direction,
     )
     region = region_of(code, target, args.criterion, tp.epsilon, pick)
-    report = _emit_bundle(
-        Path(args.out_dir), args.dist, args.seed, t, region, target, rows,
+    files, report = _emit_bundle(
+        args.dist, args.seed, t, region, target, rows,
         direction=args.direction, trials=len(rows),
     )
-    print(f"best trial {t}: D_total={report.D_total_bits!r} bits")
-    return 0
+    return files, f"best trial {t}: D_total={report.D_total_bits!r} bits"
 
 
 def _parse_k_range(text: str, n: int) -> list[int]:
@@ -178,59 +180,55 @@ def _sweep(target, n, ks, criterion, tp, seed, trials, max_points):
     return rows, per_k
 
 
-def _emit_sweep(out: Path, dist, seed, trials, rows, target, n) -> tuple[int, int]:
-    """sweep.csv and sweep.json; returns the argmin k and the closest-rate k."""
-    io.write_sweep_csv(out / "sweep.csv", rows)
+def _emit_sweep(dist, seed, trials, rows, target, n) -> tuple[dict, int, int]:
+    """sweep.csv and sweep.json as files, the argmin k and the closest-rate k."""
     argmin_k = min(rows, key=lambda r: (r[2], r[0]))[0]
     predicted = select_k(target.p, n, target, "closest")
-    io.write_json(
-        out / "sweep.json",
-        {
-            "kind": "sweep",
-            "dist": dist,
-            "seed": seed,
-            "trials": trials,
-            "rows": rows,
-            "argmin_k": argmin_k,
-            "predicted_k_closest": predicted,
-        },
-    )
-    return argmin_k, predicted
+    sweep = {
+        "kind": "sweep",
+        "dist": dist,
+        "seed": seed,
+        "trials": trials,
+        "rows": rows,
+        "argmin_k": argmin_k,
+        "predicted_k_closest": predicted,
+    }
+    files = {"sweep.csv": io.sweep_csv(rows), "sweep.json": io.json_bytes(sweep)}
+    return files, argmin_k, predicted
 
 
-def cmd_sweep_rate(args) -> int:
+def cmd_sweep_rate(args) -> tuple[dict, str]:
     target, n, case = _resolve_discrete(args)
     ks = _parse_k_range(args.k_range, n)
     _at_least("--trials", args.trials)
     tp = _typ_params(n, args)
-    out = Path(args.out_dir)
     rows, _ = _sweep(
         target, n, ks, args.criterion, tp, args.seed, args.trials, _max_points(args)
     )
-    argmin_k, predicted = _emit_sweep(out, args.dist, args.seed, args.trials, rows, target, n)
-    print(f"argmin k = {argmin_k}, predicted (closest rate) k = {predicted}")
-    return 0
+    files, argmin_k, predicted = _emit_sweep(args.dist, args.seed, args.trials, rows, target, n)
+    return files, f"argmin k = {argmin_k}, predicted (closest rate) k = {predicted}"
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args) -> tuple[dict, str]:
     case = builtin_cases()[args.case]
     target, n = case.target, case.n
     seed = case.seed if args.seed is None else args.seed
     trials = _at_least("--trials", args.trials)
     tp = TypicalityParams.default(n)
-    out = Path(args.out_dir)
-    rows, per_k = _sweep(target, n, case.k_values, "ml", tp, seed, trials, _max_points(args))
-    k = case.default_k
+    max_points = _max_points(args)
+    check_cap(target.p**n, max_points, MAX_POINTS, "points")
+    rows, per_k = _sweep(target, n, case.k_values, "ml", tp, seed, trials, max_points)
+    files, k = {}, case.default_k
     if len(case.k_values) > 1:
-        k, _ = _emit_sweep(out, args.case, seed, trials, rows, target, n)
+        files, k, _ = _emit_sweep(args.case, seed, trials, rows, target, n)
     trial_rows, (t, code, pick) = per_k[k]
     region = region_of(code, target, "ml", tp.epsilon, pick)
-    report = _emit_bundle(
-        out, args.case, seed, t, region, target, trial_rows,
+    bundle, report = _emit_bundle(
+        args.case, seed, t, region, target, trial_rows,
         direction="minimize", trials=len(trial_rows),
     )
-    print(f"{args.case}: k={k}, best trial {t}, D_per_dim={report.D_per_dim!r} bits")
-    return 0
+    message = f"{args.case}: k={k}, best trial {t}, D_per_dim={report.D_per_dim!r} bits"
+    return {**files, **bundle}, message
 
 
 # The AnalysisReport fields that bounds.json carries.
@@ -239,13 +237,12 @@ _BOUNDS_REPORT_KEYS = (
 )
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> tuple[dict, str]:
     target, n, case = _resolve_discrete(args)
     p = target.p
     k = select_k(p, n, target, "theorem") if args.k is None else _check_k(args.k, n)
     _at_least("--trials", args.trials)
     tp = _typ_params(n, args)
-    out = Path(args.out_dir)
     # the estimate first: it refuses a codebook over the cap before any region is built
     est = None
     if args.estimate:
@@ -265,37 +262,30 @@ def cmd_bounds(args) -> int:
         **{key: getattr(report, key) for key in _BOUNDS_REPORT_KEYS},
         "estimate": est,
     }
-    io.write_json(out / "bounds.json", payload)
-    print(f"eps_star={payload['eps_star']!r}, lemma1_bound={payload['lemma1_bound']!r}")
-    return 0
+    message = f"eps_star={payload['eps_star']!r}, lemma1_bound={payload['lemma1_bound']!r}"
+    return {"bounds.json": io.json_bytes(payload)}, message
 
 
-def cmd_continuous(args) -> int:
-    target = continuous_builtins().get(args.dist)
-    if target is None:
-        target = _file_target(args.dist, ContinuousTarget)
+def cmd_continuous(args) -> tuple[dict, str]:
+    target = _target(args.dist, ContinuousTarget)
     n = _at_least("--n", args.n, 2)
     k = None if args.k is None else _check_k(args.k, n)
     tp = _typ_params(n, args)
-    out = Path(args.out_dir)
     cc = build_continuous(
         target, args.p, n, k, (args.seed, 0),
         criterion=args.criterion, tp=tp, max_points=_max_points(args),
     )
     rep = continuous_divergence(cc)
-    io.write_json(
-        out / "continuous_report.json",
-        {
-            "kind": "continuous",
-            **_run_keys(args.dist, args.seed, cc.code),
-            "criterion": cc.region.criterion,
-            "binned_probs": cc.binned.probs,
-            **vars(rep),
-        },
-    )
-    io.write_region_csv(out / "region.csv", cc.region)
-    print(f"D_per_dim={rep.D_per_dim!r} bits, bound={rep.bound_per_dim!r}")
-    return 0
+    payload = {
+        "kind": "continuous",
+        **_run_keys(args.dist, args.seed, cc.code),
+        "criterion": cc.region.criterion,
+        "binned_probs": cc.binned.probs,
+        **vars(rep),
+    }
+    files = {"continuous_report.json": io.json_bytes(payload)}
+    files["region.csv"] = io.region_csv(cc.region)
+    return files, f"D_per_dim={rep.D_per_dim!r} bits, bound={rep.bound_per_dim!r}"
 
 
 def _add_common(sp, func, *, k=True, criterion="ml", n_required=False):
@@ -356,7 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        files, message = args.func(args)
+        # a message names a written file as {paths[<name>]}
+        print(message.format(paths=io.write_bundle(args.out_dir, files)))
+        return 0
     except (LqnError, ValueError, OSError, MemoryError) as err:
         # one line, never an empty one: a bare MemoryError has no message
         print(f"error: {str(err) or type(err).__name__}")

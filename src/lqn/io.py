@@ -3,8 +3,11 @@
 Every emitted file carries a schema_version; loaders reject any major
 version they do not know. Output is byte-deterministic: keys are sorted,
 floats use their shortest round-trip repr, and nothing timestamped is
-written. Each file is written whole to a temporary name and then renamed
-onto its own, and its directory is made only then.
+written. json_bytes and the *_csv renderers only build bytes; write_bundle
+alone writes files. It writes every file of a bundle to <name>.tmp before it
+renames any onto its name, and a failure removes the .tmp files and the files
+already renamed. The renames are not atomic as a set: a process killed
+between two of them still leaves part of a bundle.
 
 region.csv's body is rendered as one byte array, its cells taken from digit
 tables; the float CSVs format each value with str, the shortest round-trip
@@ -40,11 +43,11 @@ def _numpy_default(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def write_json(path, payload: dict) -> Path:
+def json_bytes(payload: dict) -> bytes:
     body = dict(payload)
     body.setdefault("schema_version", SCHEMA_VERSION)
     text = json.dumps(body, sort_keys=True, indent=2, default=_numpy_default)
-    return _write_text(path, text + "\n")
+    return (text + "\n").encode()
 
 
 def load_json(path) -> dict:
@@ -60,25 +63,30 @@ def report_payload(report: AnalysisReport, provenance: dict) -> dict:
     return {"kind": "analysis", "provenance": dict(provenance), **vars(report)}
 
 
-def _write_text(path, data: str | bytes) -> Path:
-    """Write a whole file: to <name>.tmp beside it, then os.replace onto path.
+def write_bundle(out_dir, files: dict[str, bytes]) -> dict[str, Path]:
+    """Write each name's bytes into out_dir, made if missing; return each name's path.
 
-    Text is written as UTF-8; bytes are written as they are.
-
-    The parent directory is created here, so a command that fails before its
-    first write leaves no output directory behind; a failed write removes its
-    <name>.tmp.
+    A failed write leaves the files of an earlier run as they were; any
+    exception is re-raised once this call's files are removed.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {name: out / name for name in files}
+    staged = {out / f"{name}.tmp": path for name, path in paths.items()}
+    renamed = []
     try:
-        tmp.write_bytes(data.encode() if isinstance(data, str) else data)
-        os.replace(tmp, path)
+        for tmp, data in zip(staged, files.values()):
+            tmp.write_bytes(data)
+        for tmp, path in staged.items():
+            os.replace(tmp, path)
+            renamed.append(path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for path in [*staged, *renamed]:
+            # a directory in a file's place is what failed; it is not this run's
+            if not path.is_dir():
+                path.unlink(missing_ok=True)
         raise
-    return path
+    return paths
 
 
 def _csv_head(header: list[str]) -> str:
@@ -86,18 +94,15 @@ def _csv_head(header: list[str]) -> str:
     return f"# schema_version={SCHEMA_VERSION}\n" + ",".join(header) + "\n"
 
 
-def _write_csv(path, header: list[str], lines) -> Path:
-    """The version line, the header, then each row's line of text."""
-    return _write_text(path, _csv_head(header) + "".join(line + "\n" for line in lines))
-
-
-def _lines(rows):
-    """Rows of Python ints and floats; str gives ints and shortest float reprs."""
-    return (",".join(map(str, row)) for row in rows)
+def _csv(header: list[str], rows) -> bytes:
+    """The version line, the header, then a line per row of Python ints and
+    floats; str gives ints and shortest float reprs."""
+    lines = "".join(",".join(map(str, row)) + "\n" for row in rows)
+    return (_csv_head(header) + lines).encode()
 
 
 def _read_csv(path, dtype) -> np.ndarray:
-    """The body of a CSV written by _write_csv, below its header, as one array."""
+    """The body of a CSV rendered by _csv or region_csv, below its header, as one array."""
     with open(path) as fh:
         head, _, version = fh.readline().partition("schema_version=")
         _check_version(version.strip() if head == "# " else None)
@@ -122,14 +127,14 @@ def _digits(count: int) -> np.ndarray:
     return table
 
 
-def write_region_csv(path, region: FundamentalRegion) -> Path:
+def region_csv(region: FundamentalRegion) -> bytes:
     """region.csv: a row per coset, its syndrome index, representative and good flag.
 
     The body is rendered into one (rows, width) byte array: each cell's text
     is taken from a digit table, right-aligned in a fixed column, and the
     commas, the flag and the newline are fixed columns. The 0 bytes padding
     the digits are then dropped. A representative outside [0, p) or a shape
-    other than (num_cosets, n) is refused before anything is written.
+    other than (num_cosets, n) is refused before anything is rendered.
     """
     code, reps = region.code, region.reps
     if reps.shape != (code.num_cosets, code.n):
@@ -151,7 +156,7 @@ def write_region_csv(path, region: FundamentalRegion) -> Path:
     body[:, -1] = ord("\n")
     flat = body.ravel()
     header = ["syndrome_index"] + [f"r{i}" for i in range(n)] + ["good"]
-    return _write_text(path, _csv_head(header).encode() + flat[flat != 0].tobytes())
+    return _csv_head(header).encode() + flat[flat != 0].tobytes()
 
 
 def load_region_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -160,21 +165,21 @@ def load_region_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table[:, 0], table[:, 1:-1], table[:, -1] == 1
 
 
-def write_marginals_csv(path, marginal_rows: np.ndarray) -> Path:
+def marginals_csv(marginal_rows: np.ndarray) -> bytes:
     header = [f"s{j}" for j in range(marginal_rows.shape[1])]
-    return _write_csv(path, header, _lines(marginal_rows.tolist()))
+    return _csv(header, marginal_rows.tolist())
 
 
 def load_marginals_csv(path) -> np.ndarray:
     return _read_csv(path, np.float64)
 
 
-def write_trials_csv(path, rows) -> Path:
-    return _write_csv(path, ["trial", "D_total_bits"], _lines(rows))
+def trials_csv(rows) -> bytes:
+    return _csv(["trial", "D_total_bits"], rows)
 
 
-def write_sweep_csv(path, rows) -> Path:
-    return _write_csv(path, ["k", "R_bits", "D_per_dim"], _lines(rows))
+def sweep_csv(rows) -> bytes:
+    return _csv(["k", "R_bits", "D_per_dim"], rows)
 
 
 def load_distribution_file(path):

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -33,12 +34,15 @@ from lqn.io import load_json, load_marginals_csv, load_region_csv
 
 
 def run(args):
-    """main on args; a successful run must leave no temp file in its out-dir."""
+    """main on args; no run, failed or not, may leave a temp file in its out-dir.
+
+    A directory named *.tmp is a test's own blocker, not a temp file.
+    """
     argv = [str(a) for a in args]
     code = main(argv)
-    if code == 0 and "--out-dir" in argv:
+    if "--out-dir" in argv:
         out = Path(argv[argv.index("--out-dir") + 1])
-        assert not list(out.rglob("*.tmp"))
+        assert not [tmp for tmp in out.rglob("*.tmp") if not tmp.is_dir()]
     return code
 
 
@@ -161,9 +165,57 @@ def test_failed_write_removes_its_temp_file(tmp_path):
     (out / "region.csv").mkdir(parents=True)
     assert run(["analyze", "--dist", "w3", "--k", 2, "--out-dir", out]) == 2
     assert (out / "region.csv").is_dir()
-    assert sorted(p.name for p in out.iterdir()) == [
-        "marginals.csv", "region.csv", "report.json"
-    ]
+    assert [p.name for p in out.iterdir()] == ["region.csv"]
+
+
+# Each bundle-writing command and the last file of its bundle.
+BUNDLES = {
+    "analyze": (["analyze", "--dist", "w3", "--k", 2], "region.csv"),
+    "search": (["search", "--dist", "w3", "--k", 2, "--trials", 2], "trials.csv"),
+    "sweep-rate": (["sweep-rate", "--dist", "w3", "--k-range", "1:2", "--trials", 1],
+                   "sweep.json"),
+    # sweep.csv and sweep.json come first, then the argmin k's bundle
+    "reproduce": (["reproduce", "--case", "w3", "--trials", 1], "trials.csv"),
+    "bounds": (["bounds", "--dist", "w3"], "bounds.json"),
+    "continuous": (["continuous", "--dist", "triangle", "--p", 5, "--n", 2], "region.csv"),
+}
+
+
+@pytest.mark.parametrize("phase", ["write", "rename"])
+@pytest.mark.parametrize("argv, last", BUNDLES.values(), ids=BUNDLES)
+def test_a_blocked_last_file_leaves_no_file_of_the_run(tmp_path, capsys, argv, last, phase):
+    # a directory at <name>.tmp fails its write, one at <name> its rename
+    out = tmp_path / "out"
+    blocker = out / (f"{last}.tmp" if phase == "write" else last)
+    blocker.mkdir(parents=True)
+    assert run(argv + ["--out-dir", out]) == 2
+    assert list(out.iterdir()) == [blocker] and blocker.is_dir()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(blocker) in lines[0]
+
+
+def test_success_lines(tmp_path, capsys, monkeypatch):
+    # analyze names report.json as its out-dir joined by pathlib, "." dropped
+    monkeypatch.chdir(tmp_path)
+    for argv, line in [
+        (["analyze", "--dist", "w3", "--k", 2],
+         "D_per_dim=0.33948051464998424 bits, wrote report.json"),
+        (["analyze", "--dist", "w3", "--k", 2, "--out-dir", "./o/"],
+         "D_per_dim=0.33948051464998424 bits, wrote o/report.json"),
+        (["search", "--dist", "w3", "--k", 2, "--trials", 5, "--out-dir", "o"],
+         "best trial 2: D_total=1.9044507940234556 bits"),
+        (["sweep-rate", "--dist", "w3", "--k-range", "1:3", "--trials", 3, "--out-dir", "o"],
+         "argmin k = 2, predicted (closest rate) k = 2"),
+        (["reproduce", "--case", "w1", "--trials", 3, "--out-dir", "o"],
+         "w1: k=1, best trial 1, D_per_dim=1.815048443587696 bits"),
+        (["bounds", "--dist", "w3", "--estimate", "--trials", 20, "--out-dir", "o"],
+         "eps_star=0.7591318027841636, lemma1_bound=0.2653303945281841"),
+        (["continuous", "--dist", "triangle", "--p", 7, "--n", 3, "--out-dir", "o"],
+         "D_per_dim=0.7920631606247669 bits, bound=2.6606350203857607"),
+    ]:
+        assert run(argv) == 0
+        assert capsys.readouterr().out == line + "\n"
 
 
 def test_sweep_rate(tmp_path):
@@ -272,22 +324,30 @@ def test_huge_point_count_is_one_short_line(tmp_path, capsys, n):
     assert "overflow the int64 encodings" in lines[0]
 
 
+W3_AT_4000 = ["--dist", "w3", "--n", 4000]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["analyze"],
-        ["search", "--k", 1, "--trials", 1],
-        ["sweep-rate", "--k-range", "1:2", "--trials", 1],
-        ["bounds"],
+        ["analyze", *W3_AT_4000],
+        ["search", *W3_AT_4000, "--k", 1, "--trials", 1],
+        ["sweep-rate", *W3_AT_4000, "--k-range", "1:2", "--trials", 1],
+        ["bounds", *W3_AT_4000],
+        # a bundled case brings its own n: w4's 13**6 points are over this cap
+        ["reproduce", "--case", "w4", "--max-points", 100],
     ],
 )
 def test_point_cap_comes_before_any_code_is_drawn(tmp_path, capsys, monkeypatch, argv):
     # drawing a code at n=4000 runs a row reduction for a long time before the cap
     monkeypatch.setattr(lqn.cli, "sample_generator", _refuse)
     out = tmp_path / "out"
-    assert run(argv + ["--dist", "w3", "--n", 4000, "--out-dir", out]) == 3
+    assert run(argv + ["--out-dir", out]) == 3
     assert not out.exists()
-    assert "points overflow the int64 encodings" in capsys.readouterr().out
+    assert re.fullmatch(
+        r"error: .+ points (overflow the int64 encodings|exceed the cap 100)\n",
+        capsys.readouterr().out,
+    )
 
 
 def test_estimate_over_the_codeword_cap_builds_no_region(tmp_path, capsys, monkeypatch):
@@ -439,6 +499,30 @@ def test_huge_modulus_file_is_refused_before_primality(tmp_path, capsys, monkeyp
     assert capsys.readouterr().out == (
         "error: expected 2305843009213693951 masses, got shape (2,)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["analyze", "--dist", "triangle"], "discrete"),
+        (["bounds", "--dist", "flat"], "discrete"),
+        (["search", "--dist", "triangle", "--n", 3], "discrete"),
+        (["continuous", "--dist", "w3", "--p", 7, "--n", 3], "continuous"),
+    ],
+)
+def test_bundled_target_of_the_wrong_kind_is_named(tmp_path, capsys, monkeypatch, argv, kind):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    assert run(argv + ["--out-dir", out]) == 2
+    # a file of the bundled name, of the kind the command needs, does not win
+    right_kind = {
+        "discrete": {"type": "discrete", "p": 3, "probs": [0.5, 0.3, 0.2]},
+        "continuous": {"type": "continuous", "A": 1.0, "knots": [[-1, 0.5], [1, 0.5]]},
+    }
+    (tmp_path / argv[2]).write_text(json.dumps(right_kind[kind]))
+    assert run(argv + ["--n", 3, "--out-dir", out]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == f"error: this command needs a {kind} target\n" * 2
 
 
 def test_continuous_rejects_discrete_target(tmp_path):

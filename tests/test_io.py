@@ -23,16 +23,17 @@ from lqn import (
 )
 from lqn.io import (
     SCHEMA_VERSION,
+    json_bytes,
     load_distribution_file,
     load_json,
     load_marginals_csv,
     load_region_csv,
+    marginals_csv,
+    region_csv,
     report_payload,
-    write_json,
-    write_marginals_csv,
-    write_region_csv,
-    write_sweep_csv,
-    write_trials_csv,
+    sweep_csv,
+    trials_csv,
+    write_bundle,
 )
 
 P532 = validate_discrete([0.5, 0.3, 0.2], 3)
@@ -42,18 +43,22 @@ def small_region():
     return build_ml_partition(make_code([[1, 1]], 3), P532)
 
 
-def test_write_json_is_byte_deterministic(tmp_path):
+def written(tmp_path, name, data: bytes):
+    """data as the file tmp_path/name, for the loaders."""
+    return write_bundle(tmp_path, {name: data})[name]
+
+
+def test_write_json_is_byte_deterministic():
     payload = {
         "b": 2.5,
         "a": {"z": np.float64(0.1), "y": np.arange(3)},
         "c": {"i": np.int64(7), "t": np.bool_(True), "m": np.eye(2, dtype=np.int64)},
         "d": {"row": (1, 0.5)},
     }
-    p1 = write_json(tmp_path / "one.json", payload)
-    p2 = write_json(tmp_path / "two.json", payload)
-    assert p1.read_bytes() == p2.read_bytes()
+    one = json_bytes(payload)
+    assert one == json_bytes(payload)
     # keys sorted, numpy values as plain JSON, schema version injected, trailing newline
-    assert p1.read_text() == f"""{{
+    assert one.decode() == f"""{{
   "a": {{
     "y": [
       0,
@@ -87,12 +92,11 @@ def test_write_json_is_byte_deterministic(tmp_path):
 }}
 """
     with pytest.raises(TypeError, match="set"):
-        write_json(tmp_path / "bad.json", {"x": {1, 2}})
-    assert not (tmp_path / "bad.json").exists()
+        json_bytes({"x": {1, 2}})
 
 
 def test_load_json_gates_major_version(tmp_path):
-    path = write_json(tmp_path / "r.json", {"x": 1})
+    path = written(tmp_path, "r.json", json_bytes({"x": 1}))
     assert load_json(path)["x"] == 1
     minor = dict(json.loads(path.read_text()), schema_version="1.5")
     path.write_text(json.dumps(minor))
@@ -138,7 +142,7 @@ def test_report_payload_fields():
 
 def test_region_csv_round_trip(tmp_path):
     region = small_region()
-    path = write_region_csv(tmp_path / "region.csv", region)
+    path = written(tmp_path, "region.csv", region_csv(region))
     first = path.read_text().splitlines()[0]
     assert first == f"# schema_version={SCHEMA_VERSION}"
     idx, reps, good = load_region_csv(path)
@@ -158,7 +162,7 @@ def test_region_csv_round_trip(tmp_path):
 )
 def test_region_csv_rejects_other_major(tmp_path, edit):
     region = small_region()
-    path = write_region_csv(tmp_path / "region.csv", region)
+    path = written(tmp_path, "region.csv", region_csv(region))
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     with pytest.raises(DimensionMismatchError):
         load_region_csv(path)
@@ -166,7 +170,7 @@ def test_region_csv_rejects_other_major(tmp_path, edit):
 
 def test_marginals_csv_round_trip_exact(tmp_path):
     rows = np.array([[0.1, 0.2, 0.7], [1 / 3, 1 / 3, 1 - 2 / 3]])
-    path = write_marginals_csv(tmp_path / "m.csv", rows)
+    path = written(tmp_path, "m.csv", marginals_csv(rows))
     back = load_marginals_csv(path)
     # repr round-trips doubles exactly, so equality is bitwise
     np.testing.assert_array_equal(back, rows)
@@ -174,13 +178,11 @@ def test_marginals_csv_round_trip_exact(tmp_path):
     assert header == "s0,s1,s2"
 
 
-def test_trials_and_sweep_writers(tmp_path):
-    t = write_trials_csv(tmp_path / "t.csv", [(0, 1.25), (1, 0.5)])
-    lines = t.read_text().splitlines()
+def test_trials_and_sweep_writers():
+    lines = trials_csv([(0, 1.25), (1, 0.5)]).decode().splitlines()
     assert lines[1] == "trial,D_total_bits"
     assert lines[2] == "0,1.25"
-    s = write_sweep_csv(tmp_path / "s.csv", [(1, 0.5, 1.0), (2, 1.0, 0.75)])
-    lines = s.read_text().splitlines()
+    lines = sweep_csv([(1, 0.5, 1.0), (2, 1.0, 0.75)]).decode().splitlines()
     assert lines[1] == "k,R_bits,D_per_dim"
     assert lines[3] == "2,1.0,0.75"
 
@@ -277,10 +279,10 @@ ROW_POWERS = {2: 11, 3: 7, 5: 4, 7: 3, 13: 3, 37: 2}
 def test_region_csv_matches_cell_oracle(p, m, k, seed):
     m = min(m, ROW_POWERS[p])
     region = random_region(p, m + k, k, seed)
+    data = region_csv(region)
+    assert data == oracle_region_csv(region)
     with tempfile.TemporaryDirectory() as tmp:
-        path = write_region_csv(Path(tmp) / "region.csv", region)
-        assert path.read_bytes() == oracle_region_csv(region)
-        idx, back, flags = load_region_csv(path)
+        idx, back, flags = load_region_csv(written(Path(tmp), "region.csv", data))
     np.testing.assert_array_equal(idx, np.arange(region.size))
     np.testing.assert_array_equal(back, region.reps)
     np.testing.assert_array_equal(flags, region.good_flags)
@@ -297,13 +299,11 @@ def test_region_csv_matches_cell_oracle(p, m, k, seed):
     ],
     ids=["negative", "p", "missing-row", "missing-column", "extra-axis"],
 )
-def test_region_csv_refuses_bad_representatives(tmp_path, edit):
+def test_region_csv_refuses_bad_representatives(edit):
     region = random_region(13, 3, 1, 5)
     bad = FundamentalRegion(region.code, edit(region.reps), region.good_flags, "ml", 0.5)
     with pytest.raises(ValueError, match="representatives"):
-        write_region_csv(tmp_path / "out" / "region.csv", bad)
-    # refused before the directory, the file or its .tmp was made
-    assert list(tmp_path.iterdir()) == []
+        region_csv(bad)
 
 
 @settings(max_examples=60, deadline=None)
@@ -316,14 +316,31 @@ def test_region_csv_refuses_bad_representatives(tmp_path, edit):
 def test_float_csvs_match_cell_oracle(rows):
     table = np.array(rows, dtype=np.float64)
     trials = [(t, row[0]) for t, row in enumerate(rows)]
+    data = marginals_csv(table)
+    header = [f"s{j}" for j in range(table.shape[1])]
+    assert data == oracle_csv(header, table.tolist())
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        path = write_marginals_csv(tmp / "m.csv", table)
-        header = [f"s{j}" for j in range(table.shape[1])]
-        assert path.read_bytes() == oracle_csv(header, table.tolist())
-        back = load_marginals_csv(path)
-        t = write_trials_csv(tmp / "t.csv", trials)
-        assert t.read_bytes() == oracle_csv(["trial", "D_total_bits"], trials)
+        back = load_marginals_csv(written(Path(tmp), "m.csv", data))
+    assert trials_csv(trials) == oracle_csv(["trial", "D_total_bits"], trials)
     # bit for bit, signed zeros included
     assert back.dtype == np.float64
     np.testing.assert_array_equal(back.view(np.int64), table.view(np.int64))
+
+
+def test_write_bundle_writes_every_file_and_reads_back(tmp_path):
+    region = small_region()
+    rows = np.array([[0.1, 0.2, 0.7]])
+    files = {
+        "report.json": json_bytes({"x": 1}),
+        "region.csv": region_csv(region),
+        "marginals.csv": marginals_csv(rows),
+    }
+    out = tmp_path / "new" / "dir"
+    paths = write_bundle(out, files)
+    assert paths == {name: out / name for name in files}
+    assert sorted(p.name for p in out.iterdir()) == sorted(files)
+    for name, data in files.items():
+        assert paths[name].read_bytes() == data
+    assert load_json(paths["report.json"])["x"] == 1
+    np.testing.assert_array_equal(load_region_csv(paths["region.csv"])[1], region.reps)
+    np.testing.assert_array_equal(load_marginals_csv(paths["marginals.csv"]), rows)
