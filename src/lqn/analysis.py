@@ -140,29 +140,31 @@ def _substream(seed, t: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, t)))
 
 
-def _scan(gens, shifts, msgs, target: DiscreteTarget, n: int, accept: tuple[float, float]):
+def _scan(words, lead, tail, table, accept):
     """Per trial of a block: is its generator rank-deficient, and does it fail?
 
-    One pass per coordinate over every message (rows) and trial (columns): the
-    codeword digit plus the shift, reduced mod p, and the log2 mass of its
-    negation added into ll left to right, as log2_likelihoods adds it. A
-    generator is rank-deficient iff some nonzero message maps to the all-zero
-    codeword, that is, to the shift itself. A trial fails when no sum lies in
-    accept, the interval typical_interval gives.
+    words holds each trial's k generator rows, then its shift row. A message is
+    its leading digits x, a row of lead, then its trailing digits y, a row of
+    tail, so in lex order its index is x_idx * len(tail) + y_idx. Per coordinate
+    j, a = x.G_lead + s_j and b = y.G_tail, each reduced mod p, are two small
+    tables; the shifted codeword digit is (a + b) mod p, and table[a + b] is the
+    log2 mass of its negation, added into ll left to right, as log2_likelihoods
+    adds it. A generator is rank-deficient iff some nonzero message maps to the
+    all-zero codeword: b == (s_j - a) mod p on every coordinate. A trial fails
+    when no sum lies in accept, the interval typical_interval gives.
     """
-    p = target.p
-    # log2 mass of -v mod p, for each reduced v
-    neg_log2 = target.log2_probs[-np.arange(p) % p]
-    ll = np.zeros((len(msgs), len(gens)))
+    h, k, p = lead.shape[1], words.shape[1] - 1, len(table) // 2
+    ll = np.zeros((len(lead), len(tail), len(words)))
     seen = np.zeros(ll.shape, dtype=bool)
-    for j in range(n):
-        v = msgs @ gens[:, :, j].T + shifts[:, j]
-        v -= v // p * p  # v % p; numpy's % by a scalar is several times slower than //
-        seen |= v != shifts[:, j]
-        ll += neg_log2[v]
-    deficient = ~seen[1:].all(axis=0)
+    for j in range(words.shape[2]):
+        g, s = words[:, :k, j].T, words[:, k, j]
+        a = (lead @ g[:h] + s) % p
+        b = tail @ g[h:] % p
+        seen |= b != ((s - a) % p)[:, None]
+        ll += table[a[:, None] + b]
+    deficient = ~seen.reshape(-1, len(words))[1:].all(axis=0)
     lo, hi = accept
-    return deficient, ~((ll >= lo) & (ll <= hi)).any(axis=0)
+    return deficient, ~((ll >= lo) & (ll <= hi)).any(axis=(0, 1))
 
 
 def estimate_match_probability(
@@ -185,8 +187,9 @@ def estimate_match_probability(
     substream_integers draws up to _DRAW_WORDS of every trial's first words at
     once: k*n generator entries, then n shift entries, the stream that one
     integers call per trial gives. Blocks of trials, each holding at most
-    _BLOCK_ELEMENTS trials x messages, are scanned one coordinate at a time;
-    the rank test comes from the same codewords. A rank-deficient first draw,
+    _BLOCK_ELEMENTS trials x messages, are scanned one coordinate at a time
+    from two tables of message halves (see _scan); the rank test comes from
+    the same tables. A rank-deficient first draw,
     or one substream_integers flags (a word numpy's bounded draw would have
     redrawn), is redrawn through draw_full_rank on a fresh generator of its
     substream, which then draws the shift, so every trial consumes its stream
@@ -201,9 +204,10 @@ def estimate_match_probability(
     bound = lemma1_bound(n, rate(k, n, p), p, target.entropy_bits, eps)
     check_cap(p**k, None, MAX_CODEWORDS, "codewords")
     np.random.SeedSequence((seed, 0))  # numpy refuses a bad seed here, before any draw
-    # lex_grid is C-ordered: numpy's integer matmul has no BLAS, and strided
-    # rows slowed 2**21 messages several-fold
-    msgs = lex_grid(p, k)
+    # a message is its leading k // 2 digits, then the rest
+    lead, tail = lex_grid(p, k // 2), lex_grid(p, k - k // 2)
+    # entry x is the log2 mass of -x mod p, for every sum x of two reduced digits
+    table = target.log2_probs[-np.arange(2 * p) % p]
     accept = typical_interval(n, target, eps)
     words = k * n + n
     block = max(1, _BLOCK_ELEMENTS // p**k)
@@ -211,16 +215,18 @@ def estimate_match_probability(
     failures = 0
     for first in range(0, trials, chunk):
         drawn, rejected = substream_integers(seed, first, min(chunk, trials - first), words, p)
+        # each trial's words: its k generator rows, then its shift row
+        drawn = drawn.reshape(-1, k + 1, n)
         for start in range(0, len(drawn), block):
-            gens = drawn[start : start + block, : k * n].reshape(-1, k, n)
-            shifts = drawn[start : start + block, k * n :]
-            deficient, fails = _scan(gens, shifts, msgs, target, n, accept)
+            rows = drawn[start : start + block]
+            deficient, fails = _scan(rows, lead, tail, table, accept)
             redo = np.flatnonzero(deficient | rejected[start : start + block])
             for i in redo.tolist():
                 rng = _substream(seed, first + start + i)
-                gens[i] = draw_full_rank(rng, k, n, p).generator
-                shifts[i] = rng.integers(0, p, size=n, dtype=np.int64)
-            fails[redo] = _scan(gens[redo], shifts[redo], msgs, target, n, accept)[1]
+                rows[i, :k] = draw_full_rank(rng, k, n, p).generator
+                rows[i, k] = rng.integers(0, p, size=n, dtype=np.int64)
+            if redo.size:
+                fails[redo] = _scan(rows[redo], lead, tail, table, accept)[1]
             failures += int(fails.sum())
     return MatchabilityEstimate(
         trials=trials,

@@ -11,6 +11,7 @@ too large to allocate or encode.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 
 from . import io
@@ -288,7 +289,7 @@ def cmd_continuous(args) -> tuple[dict, str]:
     return files, f"D_per_dim={rep.D_per_dim!r} bits, bound={rep.bound_per_dim!r}"
 
 
-def _add_common(sp, func, *, k=True, criterion="ml", n_required=False):
+def _add_common(sp, *, k=True, criterion="ml", n_required=False):
     """Options shared by the commands that take a --dist target."""
     sp.add_argument("--dist", required=True, help="builtin name or JSON path")
     sp.add_argument("--seed", type=int, default=0)
@@ -300,7 +301,6 @@ def _add_common(sp, func, *, k=True, criterion="ml", n_required=False):
         sp.add_argument("--k", type=int, default=None)
     if criterion:
         sp.add_argument("--criterion", choices=("ml", "typicality"), default=criterion)
-    sp.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,15 +311,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("analyze", help="one code, one region, full report")
-    _add_common(sp, cmd_analyze)
+    _add_common(sp)
 
     sp = sub.add_parser("search", help="best region over seeded random codes")
-    _add_common(sp, cmd_search)
+    _add_common(sp)
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--direction", choices=("minimize", "maximize"), default="minimize")
 
     sp = sub.add_parser("sweep-rate", help="best divergence per code dimension")
-    _add_common(sp, cmd_sweep_rate, k=False)
+    _add_common(sp, k=False)
     sp.add_argument("--k-range", required=True, help="inclusive range a:b or one k")
     sp.add_argument("--trials", type=int, default=20)
 
@@ -329,24 +329,31 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--out-dir", default=".")
     sp.add_argument("--max-points", type=int, default=None)
-    sp.set_defaults(func=cmd_reproduce)
 
     sp = sub.add_parser("bounds", help="closed-form bounds and optional estimate")
-    _add_common(sp, cmd_bounds, criterion=None)
+    _add_common(sp, criterion=None)
     sp.add_argument("--estimate", action="store_true")
     sp.add_argument("--trials", type=int, default=200)
 
     sp = sub.add_parser("continuous", help="interval target: fold, bin, build, bound")
-    _add_common(sp, cmd_continuous, criterion="typicality", n_required=True)
+    _add_common(sp, criterion="typicality", n_required=True)
     sp.add_argument("--p", type=int, required=True)
 
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main call (not at import) and kept."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # cmd_<command> is looked up when it runs, so a replaced one is the one called
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        files, message = args.func(args)
+        files, message = command(args)
         # a message names a written file as {paths[<name>]}
         print(message.format(paths=io.write_bundle(args.out_dir, files)))
         return 0

@@ -282,6 +282,13 @@ def _first_draw_is_deficient(seed, t, k, n, p):
 W3_PROBS = [0.05, 0.6, 0.05, 0.05, 0.15, 0.05, 0.05]
 
 
+def _heavy_symbols(p, heavy):
+    """A pmf on Z_p whose first `heavy` symbols share all but 1e-6 of the mass."""
+    probs = np.full(p, 1e-6 / (p - heavy))
+    probs[:heavy] = (1 - 1e-6) / heavy
+    return probs
+
+
 @pytest.mark.parametrize(
     "probs, n, k, trials, seed",
     [
@@ -298,11 +305,14 @@ W3_PROBS = [0.05, 0.6, 0.05, 0.05, 0.15, 0.05, 0.05]
         ([6 / 7, 1 / 7], 28, 14, 7, 0),
         # the bounds-mc workload: w3 at its theorem dimension, 239 failures
         (W3_PROBS, 6, 3, 2000, 0),
+        # 2039**2 is the largest prime square under MAX_CODEWORDS: one trial per
+        # block, each a full 2039 x 2039 table of message halves
+        (_heavy_symbols(2039, 11), 3, 2, 2, 0),
     ],
     # the 60-trial cases keep the ids pytest derives from (probs, n, k, seed)
     ids=[
         "probs0-6-1-5", "probs1-6-2-17", "probs2-8-1-99", "probs3-6-2-3", "probs4-5-2-8",
-        "rank-deficient", "one-trial-blocks", "two-trial-blocks", "bounds-mc",
+        "rank-deficient", "one-trial-blocks", "two-trial-blocks", "bounds-mc", "largest-square",
     ],
 )
 def test_estimator_matches_per_trial_oracle(monkeypatch, probs, n, k, trials, seed):

@@ -594,6 +594,25 @@ def test_a_bare_exception_is_named(capsys, monkeypatch):
     assert capsys.readouterr().out == "error: MemoryError\n"
 
 
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    """The parser is built on the first main call and reused; each call still
+    runs the cmd_* bound under its name at that moment."""
+    built, called = [], []
+    build = lqn.cli.build_parser
+    monkeypatch.setattr(lqn.cli, "build_parser", lambda: built.append(1) or build())
+    lqn.cli._parser.cache_clear()
+    try:
+        for seed in (0, 1):
+            assert run(["bounds", "--dist", "w3", "--seed", seed, "--out-dir", tmp_path]) == 0
+            assert load_json(tmp_path / "bounds.json")["seed"] == seed
+        monkeypatch.setattr(lqn.cli, "cmd_bounds", lambda args: called.append(args) or ({}, ""))
+        assert run(["bounds", "--dist", "w3", "--out-dir", tmp_path]) == 0
+    finally:
+        lqn.cli._parser.cache_clear()
+    assert len(built) == 1
+    assert [args.dist for args in called] == ["w3"]
+
+
 def test_block_length_below_two_is_named(tmp_path, capsys, monkeypatch):
     uniform3_file(tmp_path)
     monkeypatch.chdir(tmp_path)
