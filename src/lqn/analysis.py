@@ -19,6 +19,7 @@ import numpy as np
 from .codes import MAX_CODEWORDS, check_cap, draw_full_rank, lex_grid, rate, substream_integers
 from .distributions import DiscreteTarget, alpha, log2_likelihoods, typical_interval
 from .partition import FundamentalRegion
+from .zplinalg import ranks
 
 BOUND_TOL = 1e-9
 
@@ -36,11 +37,8 @@ def kl_region_vs_product(region: FundamentalRegion, target: DiscreteTarget) -> f
 
 def marginals(region: FundamentalRegion) -> np.ndarray:
     """Per-coordinate pmfs of the uniform distribution on the cell, rows = coordinates."""
-    p = region.code.p
-    out = np.empty((region.code.n, p), dtype=np.float64)
-    for i in range(region.code.n):
-        out[i] = np.bincount(region.reps[:, i], minlength=p) / region.size
-    return out
+    counts = [np.bincount(column, minlength=region.code.p) for column in region.reps.T]
+    return np.stack(counts) / region.size
 
 
 def sum_marginal_kl(region: FundamentalRegion, target: DiscreteTarget) -> float:
@@ -140,33 +138,6 @@ def _substream(seed, t: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, t)))
 
 
-def _scan(words, lead, tail, table, accept):
-    """Per trial of a block: is its generator rank-deficient, and does it fail?
-
-    words holds each trial's k generator rows, then its shift row. A message is
-    its leading digits x, a row of lead, then its trailing digits y, a row of
-    tail, so in lex order its index is x_idx * len(tail) + y_idx. Per coordinate
-    j, a = x.G_lead + s_j and b = y.G_tail, each reduced mod p, are two small
-    tables; the shifted codeword digit is (a + b) mod p, and table[a + b] is the
-    log2 mass of its negation, added into ll left to right, as log2_likelihoods
-    adds it. A generator is rank-deficient iff some nonzero message maps to the
-    all-zero codeword: b == (s_j - a) mod p on every coordinate. A trial fails
-    when no sum lies in accept, the interval typical_interval gives.
-    """
-    h, k, p = lead.shape[1], words.shape[1] - 1, len(table) // 2
-    ll = np.zeros((len(lead), len(tail), len(words)))
-    seen = np.zeros(ll.shape, dtype=bool)
-    for j in range(words.shape[2]):
-        g, s = words[:, :k, j].T, words[:, k, j]
-        a = (lead @ g[:h] + s) % p
-        b = tail @ g[h:] % p
-        seen |= b != ((s - a) % p)[:, None]
-        ll += table[a[:, None] + b]
-    deficient = ~seen.reshape(-1, len(words))[1:].all(axis=0)
-    lo, hi = accept
-    return deficient, ~((ll >= lo) & (ll <= hi)).any(axis=(0, 1))
-
-
 def estimate_match_probability(
     target: DiscreteTarget,
     n: int,
@@ -186,14 +157,21 @@ def estimate_match_probability(
 
     substream_integers draws up to _DRAW_WORDS of every trial's first words at
     once: k*n generator entries, then n shift entries, the stream that one
-    integers call per trial gives. Blocks of trials, each holding at most
-    _BLOCK_ELEMENTS trials x messages, are scanned one coordinate at a time
-    from two tables of message halves (see _scan); the rank test comes from
-    the same tables. A rank-deficient first draw,
-    or one substream_integers flags (a word numpy's bounded draw would have
-    redrawn), is redrawn through draw_full_rank on a fresh generator of its
-    substream, which then draws the shift, so every trial consumes its stream
-    exactly as a per-trial draw_full_rank would.
+    integers call per trial gives. A draw it flags (a word numpy's bounded draw
+    would have redrawn), or whose generator zplinalg.ranks finds
+    rank-deficient, is redrawn through draw_full_rank on a fresh generator of
+    its substream, which then draws the shift, so every trial consumes its
+    stream exactly as a per-trial draw_full_rank would.
+
+    Each trial is then scanned once, in blocks of at most _BLOCK_ELEMENTS
+    trials x messages, one coordinate at a time. A message is its leading
+    k // 2 digits x, a row of lead, then its trailing digits y, a row of tail,
+    so in lex order its index is x_idx * len(tail) + y_idx. Per coordinate j,
+    a = x.G_lead + s_j and b = y.G_tail, each reduced mod p, are two small
+    tables; the shifted codeword digit is (a + b) mod p, and table[a + b] is
+    the log2 mass of its negation, added into ll left to right, as
+    log2_likelihoods adds it. A trial fails when none of its sums lies in the
+    interval typical_interval gives.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -204,11 +182,10 @@ def estimate_match_probability(
     bound = lemma1_bound(n, rate(k, n, p), p, target.entropy_bits, eps)
     check_cap(p**k, None, MAX_CODEWORDS, "codewords")
     np.random.SeedSequence((seed, 0))  # numpy refuses a bad seed here, before any draw
-    # a message is its leading k // 2 digits, then the rest
     lead, tail = lex_grid(p, k // 2), lex_grid(p, k - k // 2)
     # entry x is the log2 mass of -x mod p, for every sum x of two reduced digits
     table = target.log2_probs[-np.arange(2 * p) % p]
-    accept = typical_interval(n, target, eps)
+    lo, hi = typical_interval(n, target, eps)
     words = k * n + n
     block = max(1, _BLOCK_ELEMENTS // p**k)
     chunk = block * max(1, _DRAW_WORDS // (block * words))
@@ -217,17 +194,18 @@ def estimate_match_probability(
         drawn, rejected = substream_integers(seed, first, min(chunk, trials - first), words, p)
         # each trial's words: its k generator rows, then its shift row
         drawn = drawn.reshape(-1, k + 1, n)
-        for start in range(0, len(drawn), block):
-            rows = drawn[start : start + block]
-            deficient, fails = _scan(rows, lead, tail, table, accept)
-            redo = np.flatnonzero(deficient | rejected[start : start + block])
-            for i in redo.tolist():
-                rng = _substream(seed, first + start + i)
-                rows[i, :k] = draw_full_rank(rng, k, n, p).generator
-                rows[i, k] = rng.integers(0, p, size=n, dtype=np.int64)
-            if redo.size:
-                fails[redo] = _scan(rows[redo], lead, tail, table, accept)[1]
-            failures += int(fails.sum())
+        for i in np.flatnonzero(rejected | (ranks(drawn[:, :k], p) < k)).tolist():
+            rng = _substream(seed, first + i)
+            drawn[i, :k] = draw_full_rank(rng, k, n, p).generator
+            drawn[i, k] = rng.integers(0, p, size=n, dtype=np.int64)
+        for rows in np.split(drawn, range(block, len(drawn), block)):
+            ll = np.zeros((len(lead), len(tail), len(rows)))
+            for j in range(n):
+                g, s = rows[:, :k, j].T, rows[:, k, j]
+                a = (lead @ g[: k // 2] + s) % p
+                b = tail @ g[k // 2 :] % p
+                ll += table[a[:, None] + b]
+            failures += int((~((ll >= lo) & (ll <= hi)).any(axis=(0, 1))).sum())
     return MatchabilityEstimate(
         trials=trials,
         failures=failures,

@@ -43,14 +43,15 @@ def _typ_params(n: int, args) -> TypicalityParams:
     return TypicalityParams(n=n, epsilon=args.epsilon_override)
 
 
-def _resolve_discrete(args) -> tuple[DiscreteTarget, int, BuiltinCase | None]:
-    """Target and block length from --dist/--n, its p**n points held to the cap."""
+def _resolve_discrete(args) -> tuple[DiscreteTarget, int, BuiltinCase | None, TypicalityParams]:
+    """Target, block length, bundled case and typicality parameters from --dist,
+    --n and --epsilon-override; the target's p**n points are held to the cap."""
     target, case = _target(args.dist, DiscreteTarget), builtin_cases().get(args.dist)
     if case is None and args.n is None:
         raise LqnError("--n is required for file targets")
     n = case.n if args.n is None else _at_least("--n", args.n, 2)
     check_cap(target.p**n, _max_points(args), MAX_POINTS, "points")
-    return target, n, case
+    return target, n, case, _typ_params(n, args)
 
 
 def _target(name, kind: type):
@@ -135,9 +136,8 @@ def _search(target, n, k, criterion, tp, seed, trials, max_points, direction="mi
 
 
 def cmd_analyze(args) -> tuple[dict, str]:
-    target, n, case = _resolve_discrete(args)
+    target, n, case, tp = _resolve_discrete(args)
     k = _pick_k(args, case, target, n)
-    tp = _typ_params(n, args)
     code = sample_generator((args.seed, 0), k, n, target.p)
     region = build_region(code, target, args.criterion, tp=tp, max_points=_max_points(args))
     files, report = _emit_bundle(args.dist, args.seed, 0, region, target)
@@ -145,10 +145,9 @@ def cmd_analyze(args) -> tuple[dict, str]:
 
 
 def cmd_search(args) -> tuple[dict, str]:
-    target, n, case = _resolve_discrete(args)
+    target, n, case, tp = _resolve_discrete(args)
     k = _pick_k(args, case, target, n)
     _at_least("--trials", args.trials)
-    tp = _typ_params(n, args)
     rows, (t, code, pick) = _search(
         target, n, k, args.criterion, tp, args.seed, args.trials, _max_points(args),
         args.direction,
@@ -199,10 +198,9 @@ def _emit_sweep(dist, seed, trials, rows, target, n) -> tuple[dict, int, int]:
 
 
 def cmd_sweep_rate(args) -> tuple[dict, str]:
-    target, n, case = _resolve_discrete(args)
+    target, n, case, tp = _resolve_discrete(args)
     ks = _parse_k_range(args.k_range, n)
     _at_least("--trials", args.trials)
-    tp = _typ_params(n, args)
     rows, _ = _sweep(
         target, n, ks, args.criterion, tp, args.seed, args.trials, _max_points(args)
     )
@@ -239,11 +237,10 @@ _BOUNDS_REPORT_KEYS = (
 
 
 def cmd_bounds(args) -> tuple[dict, str]:
-    target, n, case = _resolve_discrete(args)
+    target, n, case, tp = _resolve_discrete(args)
     p = target.p
     k = select_k(p, n, target, "theorem") if args.k is None else _check_k(args.k, n)
     _at_least("--trials", args.trials)
-    tp = _typ_params(n, args)
     # the estimate first: it refuses a codebook over the cap before any region is built
     est = None
     if args.estimate:

@@ -39,9 +39,13 @@ from .zplinalg import ensure_prime
 def _piece_log_integral(c0: float, c1: float, width: float) -> float:
     """Integral of ln(density) over one linear piece with endpoint values c0, c1.
 
-    Written as width * (ln c1 - 1 + log1p(x)/x) with x = (c1 - c0)/c0, which
-    stays accurate as the piece flattens; a flat piece is exact.
+    The integral is symmetric in c0 and c1, so it is taken from the lower one:
+    width * (ln c1 - 1 + log1p(x)/x) with x = (c1 - c0)/c0 >= 0, which stays
+    accurate as the piece flattens, and as it steepens, where x from the upper
+    value would near -1; a flat piece is exact. It is inf or nan only when x
+    overflows.
     """
+    c0, c1 = sorted((c0, c1))
     if c1 == c0:
         return width * math.log(c0)
     x = (c1 - c0) / c0
@@ -101,6 +105,9 @@ def bin_density(target: ContinuousTarget, p: int) -> BinnedDensity:
             acc += _piece_log_integral(float(fu), float(fv), float(w))
         mean_log2[y] = acc / math.log(2.0) / float(delta)
     mean_log2.setflags(write=False)
+    # r and eta = delta / r are exact until here; neither may leave the float range
+    if not (np.isfinite(mean_log2).all() and float(r) > 0 and delta / r <= np.finfo(float).max):
+        raise ValueError(f"the density is too steep to bin at p={p} in floating point")
     total = sum(masses, Fraction(0))
     binned = validate_discrete([float(m / total) for m in masses], p)
     return BinnedDensity(delta, binned, float(delta / r), float(r), mean_log2)
@@ -210,13 +217,11 @@ def lift_region(region: FundamentalRegion, delta) -> LiftedCell:
     """Scale the integer construction by the bin width."""
     code = region.code
     d = float(delta)
-    rows = np.vstack(
-        [code.generator.astype(np.float64), code.p * np.eye(code.n)]
-    )
+    rows = np.vstack([code.generator, code.p * np.eye(code.n)])
     return LiftedCell(
         scale=d,
         generator_rows=d * rows,
         cell_side=d,
-        cell_lower_corners=d * region.reps.astype(np.float64),
+        cell_lower_corners=d * region.reps,
         volume=d**code.n * region.size,
     )

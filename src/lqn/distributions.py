@@ -110,7 +110,9 @@ def log2_likelihoods(vectors, target: DiscreteTarget) -> np.ndarray:
     report, so all of them agree bit for bit on boundary cases. The order is
     fixed here because numpy's own sum pairs terms from eight of them on.
     """
-    terms = target.log2_probs[np.asarray(vectors, dtype=np.int64)]
+    v = np.asarray(vectors)
+    # an int64 array indexes as it is; any other input is checked and reduced
+    terms = target.log2_probs[v if v.dtype == np.int64 else mod_reduce(v, target.p)]
     total = np.zeros(terms.shape[:-1])
     for j in range(terms.shape[-1]):
         total = total + terms[..., j]
@@ -183,11 +185,11 @@ def is_typical(x, target: DiscreteTarget, tp: TypicalityParams) -> bool:
 
 def typical_pair(x, y, target: DiscreteTarget, tp: TypicalityParams) -> bool:
     """Pair typicality of (x, y): the wrapped difference (y - x) mod p is typical."""
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
+    x = mod_reduce(x, target.p)
+    y = mod_reduce(y, target.p)
     if x.shape != y.shape:
         raise DimensionMismatchError(f"shape mismatch {x.shape} vs {y.shape}")
-    return is_typical((y - x) % target.p, target, tp)
+    return is_typical(y - x, target, tp)
 
 
 @dataclass(frozen=True, eq=False)

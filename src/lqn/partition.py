@@ -184,12 +184,16 @@ class QuantizationResult:
 
 
 def quantize(region: FundamentalRegion, y) -> QuantizationResult:
-    """Split an integer vector as lattice point plus in-cell remainder."""
-    y = np.asarray(y, dtype=np.int64)
-    if y.ndim != 1 or y.size != region.code.n:
+    """Split an integer vector as lattice point plus in-cell remainder.
+
+    Entries must be integers within int64's range, as mod_reduce takes them.
+    """
+    residue = mod_reduce(y, region.code.p)
+    if residue.ndim != 1 or residue.size != region.code.n:
         raise ValueError(f"expected a length-{region.code.n} vector")
-    rep = region.reps[coset_id(region.code, y % region.code.p)]
-    return QuantizationResult(lattice_point=y - rep, remainder=rep.copy())
+    rep = region.reps[coset_id(region.code, residue)]
+    # mod_reduce accepted y, so its entries are integers that int64 holds exactly
+    return QuantizationResult(np.asarray(y, dtype=np.int64) - rep, rep.copy())
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,20 @@ def ensure_prime(p: int) -> int:
 
 
 def mod_reduce(v, p: int) -> np.ndarray:
-    """Reduce components into the canonical range [0, p-1] (negatives wrap up)."""
-    return np.asarray(v, dtype=np.int64) % p
+    """Reduce integer components into the canonical range [0, p-1] (negatives wrap up).
+
+    An array whose dtype int64 holds exactly (int64, int32, bool) is reduced as
+    int64. Any other input is read entry by entry: an integer within int64's
+    range, or a float with such an integral value, is taken as that integer,
+    and any other entry (1.5, nan, "3", 2**70) is refused with ValueError.
+    """
+    a = np.asarray(v)
+    if not np.can_cast(a.dtype, np.int64):
+        ints = [int(x) if isinstance(x, float) and x.is_integer() else x for x in a.flat]
+        if not all(isinstance(x, (int, np.integer)) and -(2**63) <= x < 2**63 for x in ints):
+            raise ValueError(f"expected integer entries within int64, got {v!r}")
+        a = np.array(ints, dtype=np.int64).reshape(a.shape)
+    return a.astype(np.int64, copy=False) % p
 
 
 @dataclass(frozen=True)
@@ -60,22 +72,46 @@ def rref(m, p: int) -> RrefResult:
     """
     a = mod_reduce(np.atleast_2d(m), p)
     rows, cols = a.shape
-    r = 0
     pivots: list[int] = []
     for c in range(cols):
+        r = len(pivots)
         if r == rows:
             break
         hits = np.nonzero(a[r:, c])[0]
         if hits.size == 0:
             continue
-        pr = r + int(hits[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
+        # a swap of row r with itself leaves it as it is
+        a[[r, r + hits[0]]] = a[[r + hits[0], r]]
         a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
         for i in range(rows):
             if i != r and a[i, c]:
                 a[i] = (a[i] - a[i, c] * a[r]) % p
         pivots.append(c)
-        r += 1
     a.setflags(write=False)
-    return RrefResult(a, r, tuple(pivots))
+    return RrefResult(a, len(pivots), tuple(pivots))
+
+
+def ranks(stack, p: int) -> np.ndarray:
+    """Row rank over Z_p of each matrix in a (count, k, n) stack.
+
+    Fraction-free elimination, one column at a time for the whole stack: in
+    each matrix the first row not yet a pivot with a nonzero entry c in the
+    column becomes a pivot row P (c = 1 where the column has none). Every row
+    is multiplied by c, and a row R not yet a pivot becomes c.R - R_col.P
+    instead, mod p: that clears the column outside the pivot rows and keeps
+    the row space, since c is a unit. The rank is the number of pivot rows.
+    Entries are taken as mod_reduce takes them; values stay below p**2, so
+    like rref's this needs p < 2**31.5.
+    """
+    a = mod_reduce(stack, p)
+    free = np.ones(a.shape[:2], dtype=bool)
+    at = np.arange(len(a))
+    for c in range(a.shape[2]):
+        col = a[:, :, c] * free
+        row = (col != 0).argmax(axis=1)
+        pivot, prow = col[at, row], a[at, row]
+        free[at, row] &= pivot == 0
+        a *= np.maximum(pivot, 1)[:, None, None]
+        a -= (col * free)[:, :, None] * prow[:, None]
+        a %= p
+    return (~free).sum(axis=1)

@@ -286,3 +286,30 @@ def test_criterion_10_byte_determinism(tmp_path):
             assert (one / name).read_bytes() == (two / name).read_bytes(), name
             compared += 1
     verdict(10, True, f"{compared} emitted files byte-identical across reruns")
+
+
+def test_criterion_11_divergence_falls_with_block_length():
+    # Fixed before the first run: for each target, every n from 3 up to the
+    # largest with p**n <= 2**20 points, at the closest-rate k; the best
+    # per-dimension ML divergence of T = 6 codes, seeded (1906, n, trial); the
+    # largest n's best must be below half of the best at n = 3.
+    t0 = time.monotonic()
+    budget, trials = 1 << 20, 6
+    lines, ok = [], True
+    for probs in ([0.8, 0.2], [0.5, 0.3, 0.2]):
+        p = len(probs)
+        target = validate_discrete(probs, p)
+        curve = {}
+        n = 3
+        while p**n <= budget:
+            k = select_k(p, n, target, "closest")
+            codes = [sample_generator((1906, n, t), k, n, p) for t in range(trials)]
+            regions = [build_ml_partition(code, target) for code in codes]
+            curve[n] = min(kl_region_vs_product(r, target) for r in regions) / n
+            n += 1
+        print(f"Z_{p} {probs}: " + ", ".join(f"n={m}: {d:.4f}" for m, d in curve.items()))
+        last = max(curve)
+        ok = ok and curve[last] < 0.5 * curve[3]
+        lines.append(f"Z_{p}: n={last} {curve[last]:.4f} < 0.5 * n=3 {curve[3]:.4f}")
+    elapsed = time.monotonic() - t0
+    verdict(11, ok, f"best of {trials} ML codes, {'; '.join(lines)} ({elapsed:.1f}s)")

@@ -525,6 +525,29 @@ def test_bundled_target_of_the_wrong_kind_is_named(tmp_path, capsys, monkeypatch
     assert capsys.readouterr().out == f"error: this command needs a {kind} target\n" * 2
 
 
+def test_steep_continuous_targets(tmp_path, capsys):
+    # a chunk falling from 1 to 1e-18 is evaluated from its lower end
+    tent = tmp_path / "tent.json"
+    tent.write_text(json.dumps(
+        {"type": "continuous", "A": 1.0, "knots": [[-1, 1e-18], [0, 1.0], [1, 1e-18]]}
+    ))
+    assert run(["continuous", "--dist", tent, "--p", 7, "--n", 3, "--out-dir", tmp_path]) == 0
+    report = load_json(tmp_path / "continuous_report.json")
+    assert all(math.isfinite(v) for v in report.values() if isinstance(v, float))
+    # a spike from 1e-300 to about 1e9 in the first 1e-9 of [-1, 1]:
+    # eta = delta / r is beyond the float range
+    spike = tmp_path / "spike.json"
+    knots = [[-1, 1e-300], [-1 + 1e-9, 0.999e9], [-1 + 2e-9, 5e-4], [1, 5e-4]]
+    spike.write_text(json.dumps({"type": "continuous", "A": 1.0, "knots": knots}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["continuous", "--dist", spike, "--p", 7, "--n", 3, "--out-dir", out]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == (
+        "error: the density is too steep to bin at p=7 in floating point\n"
+    )
+
+
 def test_continuous_rejects_discrete_target(tmp_path):
     dist = uniform3_file(tmp_path)
     assert run(

@@ -173,6 +173,21 @@ def test_lattice_contains_wraps_mod_p():
         lattice_contains(code, [1, 1, 1])
 
 
+@pytest.mark.parametrize("v", [[1.5, 1.2], [2**70, 0], [1, math.nan]], ids=str)
+def test_lattice_contains_refuses_non_integer_vectors(v):
+    code = make_code([[1, 1]], 3)
+    with pytest.raises(ValueError, match="expected integer entries"):
+        lattice_contains(code, v)
+    # an integral float is its integer
+    assert lattice_contains(code, [4.0, 1.0])
+
+
+def test_make_code_refuses_a_non_integer_generator():
+    with pytest.raises(ValueError, match="expected integer entries"):
+        make_code([[1.5, 1]], 3)
+    assert make_code([[1.0, 2.0]], 3).generator.tolist() == [[1, 2]]
+
+
 def test_rate_values():
     assert abs(rate(1, 2, 37) - RATE_1_2_37) <= 1e-12
     assert rate(0, 5, 7) == 0.0

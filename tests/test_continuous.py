@@ -189,6 +189,19 @@ def test_piece_log_integral_matches_decimal_oracle(slope):
             assert rel <= Decimal("1e-12"), (c0, c1, float(rel))
 
 
+@pytest.mark.parametrize("floor", [1e-12, 1e-15, 1e-18, 1e-100, 1e-300])
+def test_steep_tent_mirror_bins_match_decimal_oracle(floor):
+    # at p=2 the tent (-1, f), (0, 1 - f), (1, f) wraps into two mirror bins of
+    # width 1: bin 0 falls from 1 - f to f, bin 1 rises from f to 1 - f
+    tent = validate_continuous(1.0, ((-1.0, floor), (0.0, 1.0 - floor), (1.0, floor)))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        lo, hi = Decimal(floor), Decimal(1.0 - floor)
+        exact = ((hi * hi.ln() - lo * lo.ln()) / (hi - lo) - 1) / Decimal(2).ln()
+        for got in bin_density(tent, 2).mean_log2.tolist():
+            assert abs(Decimal(got) - exact) / abs(exact) <= Decimal("1e-12"), (floor, got)
+
+
 def test_build_continuous_assembles_consistently():
     cc = build_continuous(TRIANGLE, 13, 3, 1, 7)
     assert cc.code.p == 13

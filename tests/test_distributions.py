@@ -107,6 +107,15 @@ def test_log2_likelihoods_matches_scalar_sum():
     assert abs(batch[0] - 3 * math.log2(0.5)) <= 1e-12
 
 
+def test_log2_likelihoods_refuses_non_integer_symbols():
+    t = validate_discrete([0.5, 0.3, 0.2], 3)
+    for rows in ([[0.5, 1, 2]], [[0, 1, math.nan]], [[2**70, 0, 0]]):
+        with pytest.raises(ValueError, match="expected integer entries"):
+            log2_likelihoods(rows, t)
+    expect = log2_likelihoods([[0, 1, 2]], t).tolist()
+    assert log2_likelihoods([[0.0, 1.0, 2.0]], t).tolist() == expect
+
+
 @pytest.mark.parametrize("n", range(1, 17))
 def test_log2_likelihoods_adds_left_to_right(n):
     # numpy's sum pairs terms from n = 8 on; the builders' sums must not
@@ -224,6 +233,16 @@ def test_typical_pair_wraps_difference():
     assert not typical_pair([0, 0], [1, 1], t, tp)
     with pytest.raises(DimensionMismatchError):
         typical_pair([0, 0], [0, 0, 0], t, tp)
+
+
+def test_typical_pair_refuses_non_integer_vectors():
+    t = validate_discrete([0.9, 0.05, 0.05], 3)
+    tp = TypicalityParams.default(2)
+    for x, y in (([0.5, 0], [0, 0]), ([0, 0], [2**70, 0]), ([0, 0], [0, math.nan])):
+        with pytest.raises(ValueError, match="expected integer entries"):
+            typical_pair(x, y, t, tp)
+    # (5, -1) - (2, 2) wraps to (0, 0)
+    assert typical_pair([2.0, 2.0], [5, -1], t, tp)
 
 
 def test_validate_continuous_accepts_tent():

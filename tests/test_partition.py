@@ -294,6 +294,21 @@ def test_quantize_fixture():
         quantize(region, [1, 2, 3])
 
 
+@pytest.mark.parametrize("y", [[1.5, 0.2], [4, 2.5], [2**70, 0], [math.inf, 0]], ids=str)
+def test_quantize_refuses_non_integer_vectors(y):
+    region = build_ml_partition(C3, P532)
+    with pytest.raises(ValueError, match="expected integer entries"):
+        quantize(region, y)
+
+
+def test_quantize_takes_integral_floats_as_integers():
+    region = build_ml_partition(C3, P532)
+    out, ref = quantize(region, [4.0, -2.0]), quantize(region, [4, -2])
+    assert out.lattice_point.tolist() == ref.lattice_point.tolist()
+    assert out.remainder.tolist() == ref.remainder.tolist()
+    assert (out.lattice_point + out.remainder).tolist() == [4, -2]
+
+
 def test_quantize_covers_negative_inputs():
     region = build_ml_partition(C3, P532)
     rng = np.random.default_rng(12)

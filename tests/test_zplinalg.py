@@ -1,10 +1,13 @@
 """Exact linear algebra over Z_p, and the parity checks codes derive from it."""
 
+import math
+
 import numpy as np
 import pytest
 
 import lqn.codes
 from lqn import ensure_prime, is_prime, make_code, mod_reduce, rref, sample_generator
+from lqn.zplinalg import ranks
 
 
 def enumerate_rowspace(m, p):
@@ -41,6 +44,56 @@ def test_mod_reduce_wraps_negatives():
     out = mod_reduce([-1, 0, 7, -6], 5)
     assert out.tolist() == [4, 0, 2, 4]
     assert out.dtype == np.int64
+
+
+def test_mod_reduce_takes_integral_entries_exactly():
+    assert mod_reduce([2.0, -1.0, 7.0], 5).tolist() == [2, 4, 2]
+    assert mod_reduce(np.array([9, 2**40], dtype=np.uint64), 7).tolist() == [2, 2**40 % 7]
+    assert mod_reduce(np.array([[3, -8]], dtype=np.int32), 5).tolist() == [[3, 2]]
+    assert mod_reduce(np.zeros((0, 3)), 5).shape == (0, 3)
+
+
+@pytest.mark.parametrize(
+    "v",
+    [[1.5, 1.2], [0.2], [math.nan, 0], [0, math.inf], ["3"], [2**70, 0], [-(2**63) - 1],
+     np.array([2**63], dtype=np.uint64), np.array([0.5], dtype=np.float32)],
+    ids=str,
+)
+def test_mod_reduce_refuses_entries_that_are_not_int64_integers(v):
+    with pytest.raises(ValueError, match="expected integer entries within int64"):
+        mod_reduce(v, 3)
+
+
+def _stack(rng, count, k, n, p):
+    """count k x n matrices: half uniform, half of rank at most a random r < k,
+    each row a combination of r base rows, so many rows are dependent."""
+    uniform = rng.integers(0, p, size=(count // 2, k, n))
+    r = rng.integers(0, k, size=count - count // 2)
+    base = rng.integers(0, p, size=(len(r), k, n)) * (np.arange(k) < r[:, None])[:, :, None]
+    coeffs = rng.integers(0, p, size=(len(r), k, k))
+    low = np.stack([c @ b % p for c, b in zip(coeffs, base)])
+    return np.concatenate([uniform, low])
+
+
+@pytest.mark.parametrize("p", [2, 7, 4194301])
+@pytest.mark.parametrize("k_of_n", ["k=1", "k=n-1"])
+def test_ranks_match_rref_on_random_stacks(p, k_of_n):
+    rng = np.random.default_rng(p)
+    for n in (2, 3, 5, 8):
+        k = 1 if k_of_n == "k=1" else n - 1
+        stack = _stack(rng, 200, k, n, p)
+        before = stack.copy()
+        got = ranks(stack, p)
+        assert got.tolist() == [rref(m, p).rank for m in stack]
+        assert np.array_equal(stack, before)
+        # the stacks hold deficient and full-rank matrices alike
+        assert (got < k).any() and (got == k).any()
+
+
+def test_ranks_of_fixed_stacks():
+    stack = [[[1, 1], [2, 2]], [[0, 1], [1, 0]], [[0, 0], [0, 0]], [[3, 0], [0, 3]]]
+    assert ranks(stack, 3).tolist() == [1, 2, 0, 0]
+    assert ranks(np.zeros((0, 2, 4), dtype=np.int64), 5).shape == (0,)
 
 
 def test_rref_fixed_cases():
