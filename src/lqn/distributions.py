@@ -111,8 +111,11 @@ def log2_likelihoods(vectors, target: DiscreteTarget) -> np.ndarray:
     fixed here because numpy's own sum pairs terms from eight of them on.
     """
     v = np.asarray(vectors)
-    # an int64 array indexes as it is; any other input is checked and reduced
-    terms = target.log2_probs[v if v.dtype == np.int64 else mod_reduce(v, target.p)]
+    # an int64 array within [0, p) indexes as it is; any other input is checked
+    # and reduced mod p, so every symbol is read as its residue
+    if v.dtype != np.int64 or v.size and (v.min() < 0 or v.max() >= target.p):
+        v = mod_reduce(v, target.p)
+    terms = target.log2_probs[v]
     total = np.zeros(terms.shape[:-1])
     for j in range(terms.shape[-1]):
         total = total + terms[..., j]

@@ -13,12 +13,16 @@ has free part s + u.A, where A = (-H[:, pivots])^T mod p comes from the
 parity check H. A codeword's first nonzero coordinate is the pivot of its
 message's first nonzero digit, so within a coset the members are in
 lexicographic order exactly when their pivot parts are, and the first
-qualifying message breaks ties as a pass over member vectors would. The
-log2-likelihoods of all members form one (p^k, p^(n-k)) array, message by
-syndrome, summed coordinate by coordinate in the order log2_likelihoods
-uses, so both agree bit for bit; region_of flags typicality from a pick's sums.
+qualifying message breaks ties as a pass over member vectors would. Each
+member's log2-likelihood is summed coordinate by coordinate in the order
+log2_likelihoods uses, so both agree bit for bit; region_of flags typicality
+from a pick's sums.
 
-Selection is whole-array: the typicality rule compares the sums with the
+Selection runs over blocks of syndromes, each a (p^k, columns) array of sums,
+message by syndrome, of at most _BLOCK_POINTS entries where p^k allows: the
+syndrome index reads the free digits most significant first, so fixing the
+leading free digits and taking a span of the next one covers a contiguous run
+of columns. Within a block the typicality rule compares the sums with the
 interval typical_interval derives from typical, and both rules find each
 syndrome's first qualifying message with first_hit, a max-reduce over the
 message axis.
@@ -26,6 +30,7 @@ message axis.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +39,12 @@ from .codes import MAX_POINTS, LinearCode, check_cap, lex_grid
 from .distributions import DiscreteTarget, TypicalityParams, typical, typical_interval
 from .errors import DimensionMismatchError
 from .zplinalg import mod_reduce
+
+# Messages x syndrome columns that one block of choose scores at once; a code
+# with more messages than this scores one column per block.
+_BLOCK_POINTS = 1 << 18
+# Entries per row that column_max reduces over axis 0.
+_FOLD_WIDTH = 1 << 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,49 +102,108 @@ def choose(
     The one home of both rules: "ml" is maximum likelihood, "typicality" the
     typicality rule, anything else a ValueError; ties go to the first message,
     i.e. the lexicographically first member.
+
+    The free digits before a lead digit are fixed per block, which takes up to
+    span values of the lead digit and every value of the digits after it. The
+    sums of a fixed prefix are shared by the blocks under it, and every column
+    is still added from zeros in coordinate order, so the blocking changes no
+    bit of the result.
     """
     if criterion not in ("ml", "typicality"):
         raise ValueError(f"unknown criterion {criterion!r}")
-    p = code.p
-    check_cap(p**code.n, max_points, MAX_POINTS, "points")
+    p, n, m = code.p, code.n, code.n - code.k
+    check_cap(p**n, max_points, MAX_POINTS, "points")
     if target.p != p:
         raise ValueError("target modulus differs from code modulus")
+    if criterion == "typicality":
+        lo, hi = typical_interval(n, target, epsilon)
     msgs, shift = _members(code)
     logp = target.log2_probs
     rows = p**code.k
-    # the last free coordinate writes into sums, allocated first so that a
-    # size that cannot be held fails at once
-    sums = np.empty((rows, p ** (code.n - code.k)))
-    ll = np.zeros((rows, 1))
     piv, free = code.pivot_cols, code.nonpivot_cols
-    for j in range(code.n):
-        if j in piv:
-            ll += logp[msgs[:, piv.index(j)], None]
+    # the pivot coordinates after each free coordinate, up to the next free one
+    after = [[piv.index(j) for j in range(f + 1, g)] for f, g in zip(free, free[1:] + (n,))]
+    lead = next((f for f in range(m) if rows * p ** (m - f - 1) <= _BLOCK_POINTS), m - 1)
+    width = p ** (m - lead - 1)
+    span = min(p, max(1, _BLOCK_POINTS // (rows * width)))
+    # the last free digit writes each block's sums here; it and the outputs are
+    # allocated before any block is scored
+    block = np.empty(rows * span * width)
+    row_out = np.empty(p**m, dtype=np.int64)
+    ll_out = np.empty(p**m)
+
+    def extend(ll, f, values):
+        """ll's columns, each with free digit f taking every one of values in turn."""
+        terms = logp[(values + shift[:, f, None]) % p]
+        size = rows * ll.shape[1] * len(values)
+        out = (block if f == m - 1 else np.empty(size))[:size].reshape(rows, -1, len(values))
+        if len(values) < 5:
+            # numpy's inner loop runs over the last axis: for a short one, add per value
+            for v in range(len(values)):
+                np.add(ll, terms[:, v, None], out=out[:, :, v])
         else:
-            digit = logp[(np.arange(p) + shift[:, free.index(j), None]) % p]
-            grown = sums.reshape(rows, -1, p) if j == free[-1] else None
-            ll = np.add(ll[:, :, None], digit[:, None, :], out=grown).reshape(rows, -1)
-    if criterion == "ml":
-        row = first_hit(ll == ll.max(axis=0))
-    else:
-        # a coset with no typical member falls back to its first member
-        lo, hi = typical_interval(code.n, target, epsilon)
-        row = first_hit((ll >= lo) & (ll <= hi))
-    return row, ll[row, np.arange(ll.shape[1])]
+            np.add(ll[:, :, None], terms[:, None, :], out=out)
+        ll = out.reshape(rows, -1)
+        for i in after[f]:
+            ll += logp[msgs[:, i], None]
+        return ll
+
+    # prefix[f]: the sums through the free digits before f of the current prefix;
+    # the coordinates before the first free one are pivots 0, 1, ..., in order
+    prefix = [np.zeros((rows, 1))]
+    for j in range(free[0]):
+        prefix[0] += logp[msgs[:, j], None]
+    for index, digits in enumerate(itertools.product(range(p), repeat=lead)):
+        # the digits before the last nonzero one are the previous prefix's
+        del prefix[max((f for f, d in enumerate(digits) if d), default=0) + 1 :]
+        for f in range(len(prefix) - 1, lead):
+            prefix.append(extend(prefix[f], f, np.arange(digits[f], digits[f] + 1)))
+        for a in range(0, p, span):
+            ll = extend(prefix[lead], lead, np.arange(a, min(a + span, p)))
+            for f in range(lead + 1, m):
+                ll = extend(ll, f, np.arange(p))
+            if criterion == "ml":
+                row = first_hit(ll == column_max(ll))
+            else:
+                # a coset with no typical member falls back to its first member
+                row = first_hit((ll >= lo) & (ll <= hi))
+            first = (index * p + a) * width
+            cols = slice(first, first + ll.shape[1])
+            row_out[cols] = row
+            # a flat take: indexing by (row, column) pairs is slower
+            ll_out[cols] = ll.take(row * ll.shape[1] + np.arange(ll.shape[1]))
+    return row_out, ll_out
 
 
 def first_hit(hits: np.ndarray) -> np.ndarray:
     """Each column's first True row, or 0 for a column with none.
 
     Rows get descending weights rows..1 in the smallest unsigned dtype that
-    holds them, and a max over axis 0 finds the first hit's weight: numpy
-    reduces axis 0 row after row, where argmax(axis=0) walks strided columns.
+    holds them, and column_max finds the first hit's weight, where
+    argmax(axis=0) walks strided columns.
     """
     rows = hits.shape[0]
     weights = np.arange(rows, 0, -1, dtype=np.min_scalar_type(rows))
-    best = (hits * weights[:, None]).max(axis=0)
+    best = column_max(hits * weights[:, None])
     # best = rows - row for a hit; 0 (no hit) maps to row 0
-    return (rows - best.astype(np.int64)) % rows
+    return np.where(best == 0, 0, rows - best.astype(np.int64))
+
+
+def column_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=0) of a 2-d array, with its rows folded into wider ones first.
+
+    numpy reduces axis 0 one row at a time, which is slow for short rows: so
+    runs of t rows become rows of about _FOLD_WIDTH entries, whose column
+    maxima are then reduced over the t offsets; leftover rows are reduced on
+    their own. The maximum is exact, so the grouping changes no value.
+    """
+    rows, cols = a.shape
+    t = min(rows, _FOLD_WIDTH // cols)
+    if t < 2:
+        return a.max(axis=0)
+    cut = rows - rows % t
+    best = a[:cut].reshape(-1, t * cols).max(axis=0).reshape(t, cols).max(axis=0)
+    return best if cut == rows else np.maximum(best, a[cut:].max(axis=0))
 
 
 def region_of(

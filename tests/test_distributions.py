@@ -116,6 +116,18 @@ def test_log2_likelihoods_refuses_non_integer_symbols():
     assert log2_likelihoods([[0.0, 1.0, 2.0]], t).tolist() == expect
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [[[5, 0]], np.array([[5, 0]], dtype=np.int64), [[-1, 0]], [[-4, 0]], [[5.0, 0.0]]],
+    ids=["int-list", "int64-array", "negative", "negative-below-p", "float"],
+)
+def test_log2_likelihoods_reads_every_symbol_mod_p(rows):
+    # an int64 array outside [0, p) once indexed the table as it was: 5 raised
+    # IndexError at p = 3 and -1 wrapped silently, while 5.0 was read as 2
+    t = validate_discrete([0.5, 0.3, 0.2], 3)
+    assert log2_likelihoods(rows, t).tolist() == log2_likelihoods([[2, 0]], t).tolist()
+
+
 @pytest.mark.parametrize("n", range(1, 17))
 def test_log2_likelihoods_adds_left_to_right(n):
     # numpy's sum pairs terms from n = 8 on; the builders' sums must not

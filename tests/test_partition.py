@@ -1,6 +1,7 @@
 """Coset-representative cells: builders, quantizer, tiling validation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,83 @@ def test_builders_match_brute_force_oracle(p, sizes, seed, uniform):
             kept = partition.region_of(code, target, criterion, tp.epsilon, pick)
             assert np.array_equal(kept.reps, reps)
             assert np.array_equal(kept.good_flags, good)
+
+
+def _picks_in_blocks(monkeypatch, code, target, criterion, budget):
+    """choose's (row, ll bits) with the block budget set, and each block's width in order."""
+    widths = []
+
+    def recording(hits):
+        widths.append(hits.shape[1])
+        return first_hit(hits)
+
+    first_hit = partition.first_hit
+    with monkeypatch.context() as mp:
+        mp.setattr(partition, "_BLOCK_POINTS", budget)
+        mp.setattr(partition, "first_hit", recording)
+        row, ll = partition.choose(code, target, criterion, 1 / code.n, None)
+    return (row.tolist(), ll.view(np.uint64).tolist()), widths
+
+
+# (code, budget, the widths of the blocks under the first prefix, block count)
+BLOCK_CASES = {
+    # 16 messages and 4 columns a block: the first five free digits are fixed
+    "five-fixed-digits": (sample_generator(41, 4, 12, 2), 64, [4], 64),
+    "four-fixed-digits": (sample_generator(42, 2, 8, 3), 27, [3], 243),
+    # a span of 2 over p = 5 leaves a last span of one value
+    "partial-last-span": (sample_generator(43, 2, 5, 5), 250, [10, 10, 5], 15),
+    # 81 messages exceed the budget, so every block is one column
+    "one-column-blocks": (sample_generator(44, 4, 6, 3), 32, [1], 9),
+    # pivots (1, 3): free coordinates 0 and 2 come before a pivot
+    "pivots-not-leading": (make_code([[0, 1, 2, 0, 1, 1], [0, 0, 0, 1, 2, 2]], 3), 27, [3], 27),
+}
+
+
+@pytest.mark.parametrize("criterion", ["ml", "typicality"])
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_blocks_match_one_block_bit_for_bit(monkeypatch, case, criterion):
+    code, budget, first_widths, blocks = BLOCK_CASES[case]
+    p, n = code.p, code.n
+    if case == "pivots-not-leading":
+        assert code.pivot_cols == (1, 3)
+    rng = np.random.default_rng(n)
+    # small integer weights make many sums tie exactly; the other target ties rarely
+    for weights in (rng.integers(1, 4, size=p), rng.dirichlet(np.ones(p)).clip(1e-3)):
+        target = validate_discrete(weights / weights.sum(), p)
+        whole, one = _picks_in_blocks(monkeypatch, code, target, criterion, p**n)
+        assert one == [p ** (n - code.k)]
+        blocked, widths = _picks_in_blocks(monkeypatch, code, target, criterion, budget)
+        assert widths[: len(first_widths)] == first_widths
+        assert len(widths) == blocks and sum(widths) == p ** (n - code.k)
+        assert blocked == whole
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(2, (9, 8), 1, False), (2, (12, 10), 2, True), (3, (8, 4), 3, False),
+     (5, (6, 5), 4, False), (3, (8, 8), 1, True)],
+    ids=str,
+)
+def test_oracle_examples_hold_in_blocks_of_four_points(monkeypatch, args):
+    # the @example cases of the brute-force oracle test, with at most 4 points a block
+    # where the messages allow it, and one column a block where they do not
+    monkeypatch.setattr(partition, "_BLOCK_POINTS", 4)
+    test_builders_match_brute_force_oracle.hypothesis.inner_test(*args)
+
+
+@pytest.mark.parametrize("criterion", ["ml", "typicality"])
+def test_choose_memory_is_bounded_by_the_block_budget(criterion):
+    # 2**22 points: one (2**7, 2**15) float64 sum array alone would take 32 MiB
+    p, n, k = 2, 22, 7
+    code = sample_generator((22, 7), k, n, p)
+    target = validate_discrete([0.8, 0.2], p)
+    tracemalloc.start()
+    try:
+        row, ll = partition.choose(code, target, criterion, 1 / n, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * partition._BLOCK_POINTS + row.nbytes + ll.nbytes
 
 
 @settings(max_examples=40, deadline=None)
