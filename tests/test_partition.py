@@ -260,12 +260,12 @@ def test_builders_match_brute_force_oracle(p, sizes, seed, uniform):
 def _picks_in_blocks(monkeypatch, code, target, criterion, budget):
     """choose's (row, ll bits) with the block budget set, and each block's width in order."""
     widths = []
+    first_hit = partition.first_hit
 
     def recording(hits):
         widths.append(hits.shape[1])
         return first_hit(hits)
 
-    first_hit = partition.first_hit
     with monkeypatch.context() as mp:
         mp.setattr(partition, "_BLOCK_POINTS", budget)
         mp.setattr(partition, "first_hit", recording)
