@@ -16,7 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import MAX_CODEWORDS, check_cap, draw_full_rank, lex_grid, rate, substream_integers
+from .codes import (
+    MAX_CODEWORDS,
+    Stream,
+    check_cap,
+    draw_full_rank,
+    lex_grid,
+    rate,
+    seed_words,
+    substream_integers,
+)
 from .distributions import DiscreteTarget, alpha, log2_likelihoods, typical_interval
 from .partition import FundamentalRegion
 from .zplinalg import ranks
@@ -133,9 +142,9 @@ _BLOCK_ELEMENTS = 1 << 15
 _DRAW_WORDS = 1 << 18
 
 
-def _substream(seed, t: int) -> np.random.Generator:
-    """Trial t's own generator, on the substream (seed, t)."""
-    return np.random.default_rng(np.random.SeedSequence((seed, t)))
+def _substream(seed, t: int) -> Stream:
+    """Trial t's own stream, the substream (seed, t)."""
+    return Stream((seed, t))
 
 
 def estimate_match_probability(
@@ -159,7 +168,7 @@ def estimate_match_probability(
     once: k*n generator entries, then n shift entries, the stream that one
     integers call per trial gives. A draw it flags (a word numpy's bounded draw
     would have redrawn), or whose generator zplinalg.ranks finds
-    rank-deficient, is redrawn through draw_full_rank on a fresh generator of
+    rank-deficient, is redrawn through draw_full_rank on a fresh Stream of
     its substream, which then draws the shift, so every trial consumes its
     stream exactly as a per-trial draw_full_rank would.
 
@@ -181,7 +190,7 @@ def estimate_match_probability(
     eps = 1.0 / n if epsilon is None else float(epsilon)
     bound = lemma1_bound(n, rate(k, n, p), p, target.entropy_bits, eps)
     check_cap(p**k, None, MAX_CODEWORDS, "codewords")
-    np.random.SeedSequence((seed, 0))  # numpy refuses a bad seed here, before any draw
+    seed_words((seed, 0))  # a bad seed is refused here, before any draw
     lead, tail = lex_grid(p, k // 2), lex_grid(p, k - k // 2)
     # entry x is the log2 mass of -x mod p, for every sum x of two reduced digits
     table = target.log2_probs[-np.arange(2 * p) % p]

@@ -3,12 +3,14 @@
 A code with k x n generator G is the row space {u.G mod p}. Adding p.Z^n
 turns it into a lattice; membership and coset bookkeeping go through the
 parity-check matrix. Generators are drawn entrywise uniform from a seeded
-PCG64 stream and resampled until full rank.
+stream and resampled until full rank.
 
-substream_integers replays, for a whole range of trials t at once, the first
-draws of default_rng(SeedSequence((seed, t))).integers(0, p): numpy's
-SeedSequence hash, PCG64's 128-bit LCG with its XSL-RR output, and Lemire's
-bounded draw, each as whole-array passes over the trials.
+Every seeded draw is lqn's own replay of numpy's default_rng(SeedSequence(seed))
+.integers, bit for bit: SeedSequence's hash of the seed's 32-bit words
+(seed_words), PCG64's 128-bit LCG with its XSL-RR output, and Lemire's bounded
+draw with its rejection loop. Stream replays one such generator on Python
+ints; substream_integers replays, for a whole range of trials t at once, the
+first draws on the substreams (seed, t), as whole-array passes over the trials.
 """
 
 from __future__ import annotations
@@ -27,13 +29,14 @@ MAX_POINTS = 1 << 24
 RESAMPLE_CAP = 1000
 
 # numpy's SeedSequence constants, as Python ints: numpy scalar overflow warns
-_M32 = 0xFFFFFFFF
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 # PCG64's 128-bit LCG multiplier, high and low 64-bit halves
 _PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_PCG_MULT = _PCG_MULT_HI << 64 | _PCG_MULT_LO
 
 
 def check_cap(count: int, cap: int | None, default: int, what: str) -> None:
@@ -97,8 +100,11 @@ def make_code(generator, p: int) -> LinearCode:
     return LinearCode(g, p, k, n, h, piv, free)
 
 
-def draw_full_rank(rng: np.random.Generator, k: int, n: int, p: int) -> LinearCode:
-    """Draw i.i.d. uniform entries until the matrix has full row rank."""
+def draw_full_rank(rng: Stream, k: int, n: int, p: int) -> LinearCode:
+    """Draw i.i.d. uniform entries until the matrix has full row rank.
+
+    rng is a Stream, or anything with numpy Generator's integers call form.
+    """
     for _ in range(RESAMPLE_CAP):
         g = rng.integers(0, p, size=(k, n), dtype=np.int64)
         try:
@@ -112,37 +118,98 @@ def sample_generator(seed, k: int, n: int, p: int) -> LinearCode:
     """Seeded random code. Same seed, same code, on any platform.
 
     The seed may be an int or a tuple of ints; tuples name derived substreams
-    such as (run_seed, trial_index).
+    such as (run_seed, trial_index). The code is the one
+    draw_full_rank(default_rng(SeedSequence(seed)), k, n, p) gives in numpy.
     """
     ensure_prime(p)
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return draw_full_rank(rng, k, n, p)
+    return draw_full_rank(Stream(seed), k, n, p)
 
 
-def _hashmix(value: np.ndarray, const: int) -> tuple[np.ndarray, int]:
-    """SeedSequence's hashmix on a uint32 array; also returns the next constant."""
+def seed_words(seed) -> list[int]:
+    """The 32-bit entropy words numpy's SeedSequence takes from seed.
+
+    An int gives its little-endian words (0 gives [0]); a sequence gives its
+    elements' words in turn, so () gives []. A negative int is refused with
+    ValueError, and None, a float, a str or any other object with TypeError.
+    """
+    if isinstance(seed, (int, np.integer)):
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        return [int(seed) >> s & _M32 for s in range(0, int(seed).bit_length() or 1, 32)]
+    if isinstance(seed, (tuple, list, range, np.ndarray)):
+        return [word for part in seed for word in seed_words(part)]
+    raise TypeError(f"seed must be an integer or a sequence of integers, got {seed!r}")
+
+
+class Stream:
+    """default_rng(SeedSequence(seed)) replayed on Python ints, for its integers draws.
+
+    A PCG64 output serves two 32-bit words, the low half first; the high half
+    waits for the next 32-bit draw, across calls, as in numpy.
+    """
+
+    def __init__(self, seed):
+        seed_hi, seed_lo, seq_hi, seq_lo = _seed_state(seed_words(seed))
+        # PCG64's srandom: inc = 2 * seq + 1; zero state stepped to inc, plus the seed, stepped
+        self._inc = (seq_hi << 65 | seq_lo << 1 | 1) & _M128
+        self._state = ((self._inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + self._inc) & _M128
+        self._held = []
+
+    def _next64(self) -> int:
+        self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        # XSL-RR: the halves xor-ed, rotated right by the state's top six bits
+        x, rot = (self._state >> 64 ^ self._state) & _M64, self._state >> 122
+        return (x >> rot | x << (64 - rot)) & _M64
+
+    def _next32(self) -> int:
+        if not self._held:
+            x = self._next64()
+            self._held = [x >> 32, x & _M32]
+        return self._held.pop()
+
+    def _bounded(self, p: int) -> int:
+        """Lemire's draw in [0, p): w * p >> bits, w redrawn while its low bits fall short."""
+        bits, next_word = (32, self._next32) if p <= 1 << 32 else (64, self._next64)
+        m = next_word() * p
+        while m & ((1 << bits) - 1) < ((1 << bits) - p) % p:
+            m = next_word() * p
+        return m >> bits
+
+    def integers(self, low: int, high: int, size, dtype=np.int64) -> np.ndarray:
+        """Generator.integers(low, high, size, dtype) for 1 <= high - low < 2**63."""
+        out = np.empty(size, dtype=dtype)
+        out.flat = [low + self._bounded(high - low) for _ in range(out.size)]
+        return out
+
+
+def _hashmix(value, const: int):
+    """SeedSequence's hashmix on a 32-bit word; also returns the next constant.
+
+    A word is a Python int or a uint64 array of 32-bit values, one per trial;
+    every product is masked to 32 bits, as numpy's uint32 arithmetic wraps.
+    """
     value = value ^ const
     const = const * _MULT_A & _M32
-    value = value * const
+    value = value * const & _M32
     return value ^ value >> 16, const
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    mixed = x * _MIX_MULT_L - y * _MIX_MULT_R
+def _mix(x, y):
+    mixed = (x * _MIX_MULT_L - y * _MIX_MULT_R) & _M32
     return mixed ^ mixed >> 16
 
 
-def _seed_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
-    """SeedSequence(words).generate_state(4, uint64), one column per trial.
+def _seed_state(entropy: list) -> list:
+    """SeedSequence(words).generate_state(4, uint64) as four words, high half first.
 
-    entropy holds the uint32 entropy words, each an array over the trials.
+    entropy holds the 32-bit entropy words: Python ints for one seed, or uint64
+    arrays over the trials, and so is each returned 64-bit word.
     """
     const = _INIT_A
     pool = []
-    for i in range(_POOL_SIZE):
-        word = entropy[i] if i < len(entropy) else np.zeros_like(entropy[0])
+    for word in (entropy + [0] * _POOL_SIZE)[:_POOL_SIZE]:
         word, const = _hashmix(word, const)
         pool.append(word)
     for src in range(_POOL_SIZE):
@@ -159,8 +226,8 @@ def _seed_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
     for i in range(2 * _POOL_SIZE):
         word = pool[i % _POOL_SIZE] ^ const
         const = const * _MULT_B & _M32
-        word = word * const
-        halves.append((word ^ word >> 16).astype(np.uint64))
+        word = word * const & _M32
+        halves.append(word ^ word >> 16)
     return [halves[2 * j] | halves[2 * j + 1] << 32 for j in range(_POOL_SIZE)]
 
 
@@ -201,13 +268,10 @@ def substream_integers(seed, start: int, trials: int, words: int, p: int):
     """
     if not 2 <= p < 1 << 32:
         raise ValueError(f"need 2 <= p < 2**32, got {p}")
-    # numpy's own coercion of a seed to 32-bit words; np.random loads lazily,
-    # so it stays out of lqn's import time
-    seed_words = np.random.bit_generator._coerce_to_uint32_array(seed)
     # the entropy of (seed, t) is seed's words, then t's: one below 2**32, two above
     t = np.arange(start, start + trials, dtype=np.uint64)
-    columns = [np.full(trials, w, dtype=np.uint32) for w in seed_words]
-    columns += [(t & _M32).astype(np.uint32), (t >> 32).astype(np.uint32)]
+    columns = [np.full(trials, w, dtype=np.uint64) for w in seed_words(seed)]
+    columns += [t & _M32, t >> 32]
     split = min(max((1 << 32) - start, 0), trials)
     one_word = _seed_state([c[:split] for c in columns[:-1]])
     two_words = _seed_state([c[split:] for c in columns])

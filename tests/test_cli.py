@@ -5,7 +5,9 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -371,6 +373,48 @@ def test_estimate_refuses_a_negative_seed(tmp_path, capsys, monkeypatch):
     assert run(["bounds", "--dist", "w3", "--estimate", "--seed", -1, "--out-dir", out]) == 2
     assert not out.exists()
     assert capsys.readouterr().out == "error: expected non-negative integer\n"
+
+
+# One small run of each command; the out-dir is appended.
+SMALL_RUNS = {
+    "analyze": ["analyze", "--dist", "w1"],
+    "search": ["search", "--dist", "w1", "--trials", 2],
+    "sweep-rate": ["sweep-rate", "--dist", "w1", "--k-range", "1", "--trials", 2],
+    "reproduce": ["reproduce", "--case", "w1", "--trials", 2],
+    "bounds": ["bounds", "--dist", "w3"],
+    "continuous": ["continuous", "--dist", "triangle", "--p", 7, "--n", 3],
+}
+
+
+@pytest.mark.parametrize("command", SMALL_RUNS)
+def test_every_command_refuses_a_negative_seed(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert run([*SMALL_RUNS[command], "--seed", -1, "--out-dir", out]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == "error: expected non-negative integer\n"
+
+
+def test_no_command_loads_numpy_random(tmp_path):
+    # every seeded draw is lqn's own replay: a fresh interpreter that runs each
+    # command, the Monte Carlo estimate too, never imports numpy.random
+    argvs = [[str(a) for a in argv] for argv in SMALL_RUNS.values()]
+    argvs[list(SMALL_RUNS).index("bounds")] += ["--estimate", "--trials", "20"]
+    script = (
+        "import json, sys\n"
+        "from lqn.cli import main\n"
+        "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+        "    assert main(argv + ['--out-dir', f'{sys.argv[2]}/{i}']) == 0, argv\n"
+        "print(sorted(name for name in sys.modules if name.startswith('numpy.random')))\n"
+    )
+    src = str(Path(lqn.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert len(list(tmp_path.iterdir())) == len(SMALL_RUNS)
 
 
 def test_epsilon_override_lands_in_report(tmp_path):

@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random.bit_generator import _coerce_to_uint32_array
 
 from lqn import (
     NoFeasibleRateError,
     RankDeficientError,
     TooLargeError,
+    build_continuous,
+    estimate_match_probability,
     enumerate_codewords,
     lattice_contains,
     make_code,
@@ -20,8 +23,8 @@ from lqn import (
     uniform_target,
     validate_discrete,
 )
-from lqn.cases import builtin_cases
-from lqn.codes import MAX_CODEWORDS, lex_grid, substream_integers
+from lqn.cases import builtin_cases, continuous_builtins
+from lqn.codes import MAX_CODEWORDS, Stream, lex_grid, seed_words, substream_integers
 
 RATE_1_2_37 = 2.604726682814475  # log2(37)/2, frozen at 50-digit precision
 
@@ -79,6 +82,64 @@ def test_sample_generator_validates_inputs():
         sample_generator(1, 4, 4, 5)
     with pytest.raises(ValueError):
         sample_generator(1, 1, 4, 6)
+
+
+def test_no_seed_is_refused_rather_than_drawn_from_the_os():
+    # numpy's SeedSequence(None) would draw OS entropy: a new code on every call
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        sample_generator(None, 2, 4, 5)
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        build_continuous(continuous_builtins()["flat"], 7, 3, 1, None)
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        estimate_match_probability(uniform_target(3), 6, 1, 10, None)
+
+
+# numpy serves these tests only as the oracle of lqn's replay of its seeded stream
+ORACLE_SEEDS = [0, 1, 2**32, 2**64 + 1, (1, 2), ((1, 2), 3), (), np.uint64(5)]
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS, ids=repr)
+def test_seed_words_are_numpys_entropy_words(seed):
+    words = seed_words(seed)
+    assert all(type(w) is int for w in words)
+    assert words == _coerce_to_uint32_array(seed).tolist()
+
+
+@pytest.mark.parametrize(
+    "seed, error, message",
+    [
+        (-1, ValueError, "expected non-negative integer"),
+        ((5, -1), ValueError, "expected non-negative integer"),
+        (1.0, TypeError, "seed must be an integer"),
+        ("1", TypeError, "seed must be an integer"),
+        (None, TypeError, "seed must be an integer"),
+        ((1, None), TypeError, "seed must be an integer"),
+    ],
+    ids=repr,
+)
+def test_seed_words_refusals(seed, error, message):
+    with pytest.raises(error, match=message):
+        seed_words(seed)
+    with pytest.raises(error, match=message):
+        Stream(seed)
+
+
+# Lemire's bounded draw redraws a 32-bit word that falls in its rejection zone:
+# about 7.9e-4 of them at 3384529, almost none at 2**31 - 1 and 2**32 - 5, and
+# about half at 2147483659, just above 2**31. 2**61 - 1 draws 64-bit words.
+@pytest.mark.parametrize(
+    "p", [2, 7, 13, 3384529, 2147483647, 4294967291, 2147483659, 2**61 - 1]
+)
+@pytest.mark.parametrize("seed", ORACLE_SEEDS, ids=repr)
+def test_stream_is_numpys_generator(seed, p):
+    ours = Stream(seed)
+    numpys = np.random.default_rng(np.random.SeedSequence(seed))
+    # an odd size leaves the high half of a 64-bit output to the next call
+    for size in (5, 4, (3, 3)):
+        want = numpys.integers(0, p, size=size, dtype=np.int64)
+        got = ours.integers(0, p, size=size, dtype=np.int64)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 def _numpy_draws(seed, start, trials, words, p):
