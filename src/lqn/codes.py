@@ -3,14 +3,17 @@
 A code with k x n generator G is the row space {u.G mod p}. Adding p.Z^n
 turns it into a lattice; membership and coset bookkeeping go through the
 parity-check matrix. Generators are drawn entrywise uniform from a seeded
-stream and resampled until full rank.
+stream and resampled until full rank. A modulus is refused unless
+n.(p-1)**2 < 2**63: every dot product here has at most n terms, each a product
+of two residues, and is formed in int64.
 
 Every seeded draw is lqn's own replay of numpy's default_rng(SeedSequence(seed))
 .integers, bit for bit: SeedSequence's hash of the seed's 32-bit words
 (seed_words), PCG64's 128-bit LCG with its XSL-RR output, and Lemire's bounded
-draw with its rejection loop. Stream replays one such generator on Python
-ints; substream_integers replays, for a whole range of trials t at once, the
-first draws on the substreams (seed, t), as whole-array passes over the trials.
+draw on 32-bit words with its rejection loop. Stream replays one such generator
+on Python ints; substream_integers replays, for a whole range of trials t at
+once, the first draws on the substreams (seed, t), as whole-array passes over
+the trials.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .distributions import DiscreteTarget
 from .errors import NoFeasibleRateError, RankDeficientError, TooLargeError
-from .zplinalg import ensure_prime, mod_reduce, rref
+from .zplinalg import as_integer, ensure_prime, mod_reduce, rref
 
 MAX_CODEWORDS = 1 << 22
 MAX_POINTS = 1 << 24
@@ -51,6 +54,17 @@ def check_cap(count: int, cap: int | None, default: int, what: str) -> None:
     cap = default if cap is None else int(cap)
     if count > cap:
         raise TooLargeError(f"{count} {what} exceed the cap {cap}")
+
+
+def _checked_modulus(p, n: int) -> int:
+    """p as a prime Python int, refused with TooLargeError unless n.(p-1)**2 < 2**63.
+
+    The bound is checked first, so a huge p is refused before trial division.
+    """
+    p = as_integer(p)
+    if n * (p - 1) ** 2 >= 1 << 63:
+        raise TooLargeError(f"modulus {p} at length {n} overflows the int64 dot products")
+    return ensure_prime(p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,9 +96,10 @@ def make_code(generator, p: int) -> LinearCode:
     so its kernel is exactly the row space and its syndromes separate the
     p**(n-k) cosets.
     """
-    p = ensure_prime(p)
-    g = mod_reduce(np.atleast_2d(generator), p)
+    g = np.atleast_2d(generator)
     k, n = g.shape
+    p = _checked_modulus(p, n)
+    g = mod_reduce(g, p)
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
     red = rref(g, p)
@@ -121,7 +136,7 @@ def sample_generator(seed, k: int, n: int, p: int) -> LinearCode:
     such as (run_seed, trial_index). The code is the one
     draw_full_rank(default_rng(SeedSequence(seed)), k, n, p) gives in numpy.
     """
-    ensure_prime(p)
+    p = _checked_modulus(p, n)
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
     return draw_full_rank(Stream(seed), k, n, p)
@@ -146,8 +161,9 @@ def seed_words(seed) -> list[int]:
 class Stream:
     """default_rng(SeedSequence(seed)) replayed on Python ints, for its integers draws.
 
-    A PCG64 output serves two 32-bit words, the low half first; the high half
-    waits for the next 32-bit draw, across calls, as in numpy.
+    Every draw takes 32-bit words, as numpy's does for a range of at most
+    2**32. A PCG64 output serves two of them, the low half first; the high
+    half waits for the next draw, across calls, as in numpy.
     """
 
     def __init__(self, seed):
@@ -157,28 +173,29 @@ class Stream:
         self._state = ((self._inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + self._inc) & _M128
         self._held = []
 
-    def _next64(self) -> int:
-        self._state = (self._state * _PCG_MULT + self._inc) & _M128
-        # XSL-RR: the halves xor-ed, rotated right by the state's top six bits
-        x, rot = (self._state >> 64 ^ self._state) & _M64, self._state >> 122
-        return (x >> rot | x << (64 - rot)) & _M64
-
     def _next32(self) -> int:
         if not self._held:
-            x = self._next64()
+            self._state = (self._state * _PCG_MULT + self._inc) & _M128
+            # XSL-RR: the halves xor-ed, rotated right by the state's top six bits
+            x, rot = (self._state >> 64 ^ self._state) & _M64, self._state >> 122
+            x = (x >> rot | x << (64 - rot)) & _M64
             self._held = [x >> 32, x & _M32]
         return self._held.pop()
 
     def _bounded(self, p: int) -> int:
-        """Lemire's draw in [0, p): w * p >> bits, w redrawn while its low bits fall short."""
-        bits, next_word = (32, self._next32) if p <= 1 << 32 else (64, self._next64)
-        m = next_word() * p
-        while m & ((1 << bits) - 1) < ((1 << bits) - p) % p:
-            m = next_word() * p
-        return m >> bits
+        """Lemire's draw in [0, p): w * p >> 32, w redrawn while its low 32 bits fall short."""
+        m = self._next32() * p
+        while m & _M32 < ((1 << 32) - p) % p:
+            m = self._next32() * p
+        return m >> 32
 
     def integers(self, low: int, high: int, size, dtype=np.int64) -> np.ndarray:
-        """Generator.integers(low, high, size, dtype) for 1 <= high - low < 2**63."""
+        """Generator.integers(low, high, size, dtype) for 1 <= high - low <= 2**32.
+
+        A wider range is refused: numpy draws 64-bit words there.
+        """
+        if not 1 <= high - low <= 1 << 32:
+            raise ValueError(f"need 1 <= high - low <= 2**32, got {high - low}")
         out = np.empty(size, dtype=dtype)
         out.flat = [low + self._bounded(high - low) for _ in range(out.size)]
         return out

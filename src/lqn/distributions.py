@@ -8,7 +8,6 @@ outside. All logs are base 2.
 from __future__ import annotations
 
 import math
-import struct
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,32 +135,26 @@ def typical(log2_lik, n: int, target: DiscreteTarget, epsilon: float) -> np.ndar
     return np.abs(_surprisal_gap(log2_lik, n, target)) <= epsilon
 
 
-def _float_key(x: float) -> int:
-    """An integer that orders doubles as their values do; its own inverse.
-
-    The bits of a double read as int64 order the non-negative doubles; for a
-    negative one, flipping all but the sign bit reverses its order.
-    """
-    bits = struct.unpack("<q", struct.pack("<d", x))[0]
-    return bits if bits >= 0 else bits ^ 0x7FFFFFFFFFFFFFFF
-
-
-def _key_float(key: int) -> float:
-    bits = key if key >= 0 else key ^ 0x7FFFFFFFFFFFFFFF
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
-
-
-def _first_true(pred) -> float:
+def _first_true(pred, guess: float, step: float) -> float:
     """The smallest double x with pred(x), for pred monotone from False to True
-    along the float line; pred(-inf) must be False and pred(inf) True."""
-    lo, hi = _float_key(-math.inf), _float_key(math.inf)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(_key_float(mid)):
-            hi = mid
-        else:
-            lo = mid
-    return _key_float(hi)
+    along the float line, False at -inf and True at the largest double.
+
+    A bracket widens from guess (clamped to the finite doubles) by a step that
+    doubles each time, until pred flips inside it; then it is bisected by value
+    until its ends are adjacent doubles. Halving each end before adding keeps
+    the midpoint strictly inside a bracket that holds a double, and clamping
+    it keeps it finite where the bracket has run out to -inf or inf.
+    """
+    top = sys.float_info.max
+    lo = hi = min(max(guess, -top), top)
+    while pred(lo):
+        hi, lo, step = lo, lo - step, 2 * step
+    while not pred(hi):
+        lo, hi, step = hi, hi + step, 2 * step
+    while math.nextafter(lo, hi) != hi:
+        mid = min(max(lo / 2 + hi / 2, -top), top)
+        lo, hi = (lo, mid) if pred(mid) else (mid, hi)
+    return hi
 
 
 def typical_interval(n: int, target: DiscreteTarget, epsilon: float) -> tuple[float, float]:
@@ -171,11 +164,17 @@ def typical_interval(n: int, target: DiscreteTarget, epsilon: float) -> tuple[fl
     empty (a > b) when no double is typical. |gap| <= epsilon is gap <= epsilon
     and -epsilon <= gap, since abs and negation are exact, and the gap falls as
     ll grows, so the first half holds from some a on and the second up to some
-    b. Both are found by bisecting the float line on the gap itself.
+    b. Each is searched for on the gap itself, from its float estimate:
+    -n(H + epsilon) for a and -n(H - epsilon) for b. The first step is one ulp
+    of n(H + epsilon), the scale of the rounding in both estimates; b's
+    estimate cancels to 0.0 at epsilon = H, and the ulp of 0.0 is the smallest
+    double, about 2**1022 times too fine.
     """
-    a = _first_true(lambda ll: _surprisal_gap(ll, n, target) <= epsilon)
-    b = -_first_true(lambda ll: _surprisal_gap(-ll, n, target) >= -epsilon)
-    return a, b
+    h = target.entropy_bits
+    step = math.ulp(min(n * (h + epsilon), sys.float_info.max))
+    a = _first_true(lambda ll: _surprisal_gap(ll, n, target) <= epsilon, -n * (h + epsilon), step)
+    b = _first_true(lambda ll: _surprisal_gap(-ll, n, target) >= -epsilon, n * (h - epsilon), step)
+    return a, -b
 
 
 def is_typical(x, target: DiscreteTarget, tp: TypicalityParams) -> bool:

@@ -22,7 +22,7 @@ class RankDeficientError(LqnError):
 
 
 class TooLargeError(LqnError):
-    """A requested enumeration exceeds the configured point cap."""
+    """A requested enumeration exceeds its cap, or a size overflows int64 arithmetic."""
 
 
 class NoFeasibleRateError(LqnError):

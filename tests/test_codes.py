@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.random.bit_generator import _coerce_to_uint32_array
 
+import lqn.codes
 from lqn import (
     NoFeasibleRateError,
     RankDeficientError,
@@ -46,6 +47,42 @@ def test_make_code_rejections():
         make_code([[1, 0], [0, 1]], 3)  # k must stay below n
     with pytest.raises(ValueError):
         make_code([[1, 1]], 4)
+
+
+# each is wrong without the refusal: at 4294967291 rref's row products wrap
+# and the parity check misses codewords; at 2**31 - 1, n = 6, the syndrome
+# dot products wrap and lattice_contains misreports codewords
+@pytest.mark.parametrize("k, n, p", [(2, 4, 4294967291), (3, 6, 2**31 - 1)], ids=str)
+def test_make_code_refuses_a_modulus_whose_int64_products_overflow(k, n, p):
+    generator = np.random.default_rng(0).integers(0, p, size=(k, n))
+    with pytest.raises(TooLargeError, match=f"modulus {p} at length {n}"):
+        make_code(generator, p)
+
+
+def test_sample_generator_refuses_an_overflowing_modulus_before_trial_division(monkeypatch):
+    # trial division of 2**61 - 1 runs towards 1.5e9 divisors
+    def refuse(*args):
+        raise AssertionError("tested primality or drew before the int64 check")
+
+    monkeypatch.setattr(lqn.codes, "ensure_prime", refuse)
+    monkeypatch.setattr(lqn.codes, "Stream", refuse)
+    with pytest.raises(TooLargeError, match="overflows the int64 dot products"):
+        sample_generator(0, 2, 4, 2**61 - 1)
+
+
+def test_make_code_is_exact_at_the_largest_modulus_it_takes():
+    # 1518500213 is the largest prime with 4 (p - 1)**2 < 2**63: no prime lies
+    # between it and p + 37, the largest integer with that bound
+    p, n = 1518500213, 4
+    assert n * (p - 1) ** 2 < 2**63 <= n * (p + 37) ** 2
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        generator = rng.integers(0, p, size=(2, n))
+        code = make_code(generator, p)
+        for u in rng.integers(0, p, size=(4, 2)).tolist():
+            word = [sum(a * int(g) for a, g in zip(u, col)) % p for col in generator.T]
+            assert lattice_contains(code, word)
+            assert all(sum(int(h) * w for h, w in zip(row, word)) % p == 0 for row in code.parity)
 
 
 def test_sample_generator_is_deterministic():
@@ -126,9 +163,10 @@ def test_seed_words_refusals(seed, error, message):
 
 # Lemire's bounded draw redraws a 32-bit word that falls in its rejection zone:
 # about 7.9e-4 of them at 3384529, almost none at 2**31 - 1 and 2**32 - 5, and
-# about half at 2147483659, just above 2**31. 2**61 - 1 draws 64-bit words.
+# about half at 2147483659, just above 2**31. 2**32, the widest range numpy
+# draws from 32-bit words, takes each word as it is.
 @pytest.mark.parametrize(
-    "p", [2, 7, 13, 3384529, 2147483647, 4294967291, 2147483659, 2**61 - 1]
+    "p", [2, 7, 13, 3384529, 2147483647, 4294967291, 2147483659, 2**32]
 )
 @pytest.mark.parametrize("seed", ORACLE_SEEDS, ids=repr)
 def test_stream_is_numpys_generator(seed, p):
@@ -140,6 +178,17 @@ def test_stream_is_numpys_generator(seed, p):
         got = ours.integers(0, p, size=size, dtype=np.int64)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("low, high", [(0, 2**32 + 1), (0, 2**61 - 1), (5, 5), (3, 0)])
+def test_stream_refuses_a_range_outside_32_bit_words(low, high):
+    # numpy draws 64-bit words past 2**32, which Stream does not replay;
+    # the refusal draws nothing, so the stream goes on as numpy's
+    ours = Stream(0)
+    with pytest.raises(ValueError, match=r"1 <= high - low <= 2\*\*32"):
+        ours.integers(low, high, size=3, dtype=np.int64)
+    want = np.random.default_rng(np.random.SeedSequence(0)).integers(0, 7, size=5)
+    assert np.array_equal(ours.integers(0, 7, size=5, dtype=np.int64), want)
 
 
 def _numpy_draws(seed, start, trials, words, p):

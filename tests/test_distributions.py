@@ -1,6 +1,8 @@
 """Target distributions, entropy bookkeeping, and weak typicality."""
 
 import math
+import struct
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from lqn import (
     validate_continuous,
     validate_discrete,
 )
-from lqn.distributions import typical, typical_interval
+from lqn.cases import builtin_cases
+from lqn.distributions import _surprisal_gap, typical, typical_interval
 
 # frozen reference entropies, computed independently at 50-digit precision
 H_532 = 1.4854752972273344
@@ -206,22 +209,116 @@ def _ulps_around(x: float, count: int) -> np.ndarray:
     return np.array(below[::-1] + above[1:])
 
 
+# two dyadic pmfs and w3's: at epsilon = H the upper end b is a few 1e-16
+# above 0.0, where its estimate -n(H - epsilon) cancels
+EDGE_PMFS = ([0.75, 0.25], [0.5, 0.25, 0.25], builtin_cases()["w3"].target.probs.tolist())
+
+
+def _edge_examples(test):
+    """epsilon = H, its two neighbouring doubles and 2H, on each EDGE_PMFS entry at n = 3 and 6."""
+    for probs in EDGE_PMFS:
+        h = validate_discrete(probs, len(probs)).entropy_bits
+        for n in (3, 6):
+            for epsilon in (h, math.nextafter(h, 0), math.nextafter(h, math.inf), 2 * h):
+                test = example(p=len(probs), n=n, epsilon=epsilon, seed=0, probs=probs)(test)
+    return test
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     p=st.sampled_from([2, 3, 5, 7, 13]),
     n=st.integers(1, 40),
     epsilon=st.sampled_from([5e-324, 1e-300, 1e-15]) | st.floats(1e-12, 8.0),
     seed=st.integers(0, 2**32 - 1),
+    probs=st.none(),
 )
 # an empty interval: no double is typical for this target at n=3
-@example(p=2, n=3, epsilon=1e-300, seed=2)
-def test_typical_interval_matches_typical(p, n, epsilon, seed):
-    probs = np.random.default_rng(seed).dirichlet(np.ones(p)).clip(1e-3)
-    target = validate_discrete(probs / probs.sum(), p)
+@example(p=2, n=3, epsilon=1e-300, seed=2, probs=None)
+@_edge_examples
+def test_typical_interval_matches_typical(p, n, epsilon, seed, probs):
+    """probs, when given, is the pmf; otherwise one is drawn from seed."""
+    if probs is None:
+        probs = np.random.default_rng(seed).dirichlet(np.ones(p)).clip(1e-3)
+        probs = probs / probs.sum()
+    target = validate_discrete(probs, p)
     a, b = typical_interval(n, target, epsilon)
     for edge in (a, b):
         ll = _ulps_around(edge, 50)
         np.testing.assert_array_equal(typical(ll, n, target, epsilon), (ll >= a) & (ll <= b))
+
+
+def _float_key(x: float) -> int:
+    """An integer that orders doubles as their values do; its own inverse."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else bits ^ 0x7FFFFFFFFFFFFFFF
+
+
+def _key_float(key: int) -> float:
+    bits = key if key >= 0 else key ^ 0x7FFFFFFFFFFFFFFF
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _reference_first_true(pred) -> float:
+    """The smallest double x with pred(x), by bisecting the keys of all doubles."""
+    lo, hi = _float_key(-math.inf), _float_key(math.inf)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(_key_float(mid)):
+            hi = mid
+        else:
+            lo = mid
+    return _key_float(hi)
+
+
+def _reference_interval(n, target, epsilon):
+    """typical_interval as a 128-step bisection over the whole float line."""
+    a = _reference_first_true(lambda ll: _surprisal_gap(ll, n, target) <= epsilon)
+    b = -_reference_first_true(lambda ll: _surprisal_gap(-ll, n, target) >= -epsilon)
+    return a, b
+
+
+def _reference_cases():
+    """2,379 seeded (n, target, epsilon) cases, p up to 2039 and n up to 10**6.
+
+    Epsilon runs from the smallest double to the largest, log-uniform, and
+    also near H, at 1/n, and at the edge values.
+    """
+    rng = np.random.default_rng(20190722)
+    cases = []
+    for p in (2, 3, 5, 7, 13, 37, 101, 2039):
+        for _ in range(6):
+            probs = rng.dirichlet(np.ones(p)).clip(1e-6)
+            target = validate_discrete(probs / probs.sum(), p)
+            h = target.entropy_bits
+            for _ in range(48):
+                n = int(10 ** rng.uniform(0, 6))
+                n = n if rng.random() < 0.9 else int(rng.choice([1, 10**6]))
+                epsilon = rng.choice([
+                    # log-uniform from the smallest double to near the largest
+                    float(np.exp2(rng.uniform(-1074, 1023.9))),
+                    float(rng.uniform(0, 3 * h)) or 5e-324,
+                    1 / n,
+                    float(rng.choice([5e-324, 1e-300, h, 2 * h, h / 2, sys.float_info.max])),
+                ])
+                cases.append((n, target, float(epsilon)))
+    for probs in EDGE_PMFS:
+        target = validate_discrete(probs, len(probs))
+        h = target.entropy_bits
+        for n in (1, 2, 3, 6, 10**6):
+            for epsilon in (h, math.nextafter(h, 0), math.nextafter(h, math.inf), h / 2, 2 * h):
+                cases.append((n, target, epsilon))
+    return cases
+
+
+def test_typical_interval_is_the_float_line_bisection():
+    # the same doubles, sign of zero included, as bisecting all 2**64 bit patterns
+    mismatches = [
+        (target.p, n, epsilon)
+        for n, target, epsilon in _reference_cases()
+        if [x.hex() for x in typical_interval(n, target, epsilon)]
+        != [x.hex() for x in _reference_interval(n, target, epsilon)]
+    ]
+    assert mismatches == []
 
 
 def test_typical_interval_can_be_empty():
