@@ -16,19 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import (
-    MAX_CODEWORDS,
-    Stream,
-    check_cap,
-    draw_full_rank,
-    lex_grid,
-    rate,
-    seed_words,
-    substream_integers,
-)
+from .codes import MAX_CODEWORDS, check_cap, lex_grid, rate, seed_words, trial_draws
 from .distributions import DiscreteTarget, alpha, log2_likelihoods, typical_interval
 from .partition import FundamentalRegion
-from .zplinalg import ranks
 
 BOUND_TOL = 1e-9
 
@@ -138,13 +128,8 @@ class MatchabilityEstimate:
 
 # Trials x messages that one block of the Monte Carlo scan holds at once.
 _BLOCK_ELEMENTS = 1 << 15
-# Trials x words that one substream_integers call draws, in whole scan blocks (at least one).
+# Trials x words that one trial_draws call draws, in whole scan blocks (at least one).
 _DRAW_WORDS = 1 << 18
-
-
-def _substream(seed, t: int) -> Stream:
-    """Trial t's own stream, the substream (seed, t)."""
-    return Stream((seed, t))
 
 
 def estimate_match_probability(
@@ -164,13 +149,10 @@ def estimate_match_probability(
     equivalent to any other point. Per-trial substreams make the tally
     independent of execution order.
 
-    substream_integers draws up to _DRAW_WORDS of every trial's first words at
-    once: k*n generator entries, then n shift entries, the stream that one
-    integers call per trial gives. A draw it flags (a word numpy's bounded draw
-    would have redrawn), or whose generator zplinalg.ranks finds
-    rank-deficient, is redrawn through draw_full_rank on a fresh Stream of
-    its substream, which then draws the shift, so every trial consumes its
-    stream exactly as a per-trial draw_full_rank would.
+    codes.trial_draws draws the trials in chunks of up to _DRAW_WORDS words:
+    each trial's full-rank generator and then its shift, exactly as a
+    per-trial draw_full_rank on the substream followed by one integers call
+    would.
 
     Each trial is then scanned once, in blocks of at most _BLOCK_ELEMENTS
     trials x messages, one coordinate at a time. A message is its leading
@@ -195,18 +177,11 @@ def estimate_match_probability(
     # entry x is the log2 mass of -x mod p, for every sum x of two reduced digits
     table = target.log2_probs[-np.arange(2 * p) % p]
     lo, hi = typical_interval(n, target, eps)
-    words = k * n + n
     block = max(1, _BLOCK_ELEMENTS // p**k)
-    chunk = block * max(1, _DRAW_WORDS // (block * words))
+    chunk = block * max(1, _DRAW_WORDS // (block * (k + 1) * n))
     failures = 0
     for first in range(0, trials, chunk):
-        drawn, rejected = substream_integers(seed, first, min(chunk, trials - first), words, p)
-        # each trial's words: its k generator rows, then its shift row
-        drawn = drawn.reshape(-1, k + 1, n)
-        for i in np.flatnonzero(rejected | (ranks(drawn[:, :k], p) < k)).tolist():
-            rng = _substream(seed, first + i)
-            drawn[i, :k] = draw_full_rank(rng, k, n, p).generator
-            drawn[i, k] = rng.integers(0, p, size=n, dtype=np.int64)
+        drawn = trial_draws(seed, first, min(chunk, trials - first), k, n, p)
         for rows in np.split(drawn, range(block, len(drawn), block)):
             ll = np.zeros((len(lead), len(tail), len(rows)))
             for j in range(n):

@@ -21,12 +21,12 @@ from .analysis import (
     estimate_match_probability,
     lemma1_bound,
 )
-from .cases import BuiltinCase, builtin_cases, continuous_builtins
+from .cases import builtin_cases, continuous_builtins
 from .codes import MAX_POINTS, check_cap, rate, sample_generator, select_k
 from .continuous import build_continuous, continuous_divergence
 from .distributions import ContinuousTarget, DiscreteTarget, TypicalityParams
 from .errors import LqnError, TooLargeError
-from .partition import build_region, choose, region_of
+from .partition import choose, region_of
 
 
 def _max_points(args) -> int | None:
@@ -43,15 +43,17 @@ def _typ_params(n: int, args) -> TypicalityParams:
     return TypicalityParams(n=n, epsilon=args.epsilon_override)
 
 
-def _resolve_discrete(args) -> tuple[DiscreteTarget, int, BuiltinCase | None, TypicalityParams]:
-    """Target, block length, bundled case and typicality parameters from --dist,
-    --n and --epsilon-override; the target's p**n points are held to the cap."""
+def _resolve_discrete(args):
+    """Target, block length, bundled case, typicality parameters and point cap
+    from --dist (reproduce's --case), --n, --epsilon-override and the cap; the
+    target's p**n points are held to that cap."""
     target, case = _target(args.dist, DiscreteTarget), builtin_cases().get(args.dist)
     if case is None and args.n is None:
         raise LqnError("--n is required for file targets")
     n = case.n if args.n is None else _at_least("--n", args.n, 2)
-    check_cap(target.p**n, _max_points(args), MAX_POINTS, "points")
-    return target, n, case, _typ_params(n, args)
+    max_points = _max_points(args)
+    check_cap(target.p**n, max_points, MAX_POINTS, "points")
+    return target, n, case, _typ_params(n, args), max_points
 
 
 def _target(name, kind: type):
@@ -96,28 +98,33 @@ def _run_keys(dist, seed, code) -> dict:
     return {"dist": dist, "seed": seed, "p": code.p, "n": code.n, "k": code.k}
 
 
-def _emit_bundle(dist, seed, trial, region, target, trial_rows=None, **extra):
-    """Analyze region; return its report, and the report, marginals, region and
-    trials (when given) as files.
+def _emit_bundle(dist, seed, target, criterion, tp, found, direction=None):
+    """The bundle of the winner in found, a _search result: its region is built
+    from its pick and analyzed. Returns the report, marginals and region files,
+    the report and the winning trial.
 
-    The provenance is read from region, so it names what was built.
+    A search passes its direction: the provenance then also carries the
+    direction and the trial count, and the trial rows go to trials.csv.
     """
+    rows, (t, code, pick) = found
+    region = region_of(code, target, criterion, tp.epsilon, pick)
     report = analyze_region(region, target)
+    search = {} if direction is None else {"direction": direction, "trials": len(rows)}
     provenance = {
-        **_run_keys(dist, seed, region.code),
-        "trial": trial,
-        "criterion": region.criterion,
-        "epsilon": region.epsilon,
-        **extra,
+        **_run_keys(dist, seed, code),
+        "trial": t,
+        "criterion": criterion,
+        "epsilon": tp.epsilon,
+        **search,
     }
     files = {
         "report.json": io.json_bytes(io.report_payload(report, provenance)),
         "marginals.csv": io.marginals_csv(report.marginal_distributions),
         "region.csv": io.region_csv(region),
     }
-    if trial_rows is not None:
-        files["trials.csv"] = io.trials_csv(trial_rows)
-    return files, report
+    if search:
+        files["trials.csv"] = io.trials_csv(rows)
+    return files, report, t
 
 
 def _search(target, n, k, criterion, tp, seed, trials, max_points, direction="minimize"):
@@ -136,26 +143,22 @@ def _search(target, n, k, criterion, tp, seed, trials, max_points, direction="mi
 
 
 def cmd_analyze(args) -> tuple[dict, str]:
-    target, n, case, tp = _resolve_discrete(args)
+    target, n, case, tp, max_points = _resolve_discrete(args)
     k = _pick_k(args, case, target, n)
-    code = sample_generator((args.seed, 0), k, n, target.p)
-    region = build_region(code, target, args.criterion, tp=tp, max_points=_max_points(args))
-    files, report = _emit_bundle(args.dist, args.seed, 0, region, target)
+    found = _search(target, n, k, args.criterion, tp, args.seed, 1, max_points)
+    files, report, _ = _emit_bundle(args.dist, args.seed, target, args.criterion, tp, found)
     return files, f"D_per_dim={report.D_per_dim!r} bits, wrote {{paths[report.json]}}"
 
 
 def cmd_search(args) -> tuple[dict, str]:
-    target, n, case, tp = _resolve_discrete(args)
+    target, n, case, tp, max_points = _resolve_discrete(args)
     k = _pick_k(args, case, target, n)
     _at_least("--trials", args.trials)
-    rows, (t, code, pick) = _search(
-        target, n, k, args.criterion, tp, args.seed, args.trials, _max_points(args),
-        args.direction,
+    found = _search(
+        target, n, k, args.criterion, tp, args.seed, args.trials, max_points, args.direction
     )
-    region = region_of(code, target, args.criterion, tp.epsilon, pick)
-    files, report = _emit_bundle(
-        args.dist, args.seed, t, region, target, rows,
-        direction=args.direction, trials=len(rows),
+    files, report, t = _emit_bundle(
+        args.dist, args.seed, target, args.criterion, tp, found, args.direction
     )
     return files, f"best trial {t}: D_total={report.D_total_bits!r} bits"
 
@@ -198,35 +201,24 @@ def _emit_sweep(dist, seed, trials, rows, target, n) -> tuple[dict, int, int]:
 
 
 def cmd_sweep_rate(args) -> tuple[dict, str]:
-    target, n, case, tp = _resolve_discrete(args)
+    target, n, _, tp, max_points = _resolve_discrete(args)
     ks = _parse_k_range(args.k_range, n)
     _at_least("--trials", args.trials)
-    rows, _ = _sweep(
-        target, n, ks, args.criterion, tp, args.seed, args.trials, _max_points(args)
-    )
+    rows, _ = _sweep(target, n, ks, args.criterion, tp, args.seed, args.trials, max_points)
     files, argmin_k, predicted = _emit_sweep(args.dist, args.seed, args.trials, rows, target, n)
     return files, f"argmin k = {argmin_k}, predicted (closest rate) k = {predicted}"
 
 
 def cmd_reproduce(args) -> tuple[dict, str]:
-    case = builtin_cases()[args.case]
-    target, n = case.target, case.n
-    seed = case.seed if args.seed is None else args.seed
     trials = _at_least("--trials", args.trials)
-    tp = TypicalityParams.default(n)
-    max_points = _max_points(args)
-    check_cap(target.p**n, max_points, MAX_POINTS, "points")
+    target, n, case, tp, max_points = _resolve_discrete(args)
+    seed = case.seed if args.seed is None else args.seed
     rows, per_k = _sweep(target, n, case.k_values, "ml", tp, seed, trials, max_points)
     files, k = {}, case.default_k
     if len(case.k_values) > 1:
-        files, k, _ = _emit_sweep(args.case, seed, trials, rows, target, n)
-    trial_rows, (t, code, pick) = per_k[k]
-    region = region_of(code, target, "ml", tp.epsilon, pick)
-    bundle, report = _emit_bundle(
-        args.case, seed, t, region, target, trial_rows,
-        direction="minimize", trials=len(trial_rows),
-    )
-    message = f"{args.case}: k={k}, best trial {t}, D_per_dim={report.D_per_dim!r} bits"
+        files, k, _ = _emit_sweep(args.dist, seed, trials, rows, target, n)
+    bundle, report, t = _emit_bundle(args.dist, seed, target, "ml", tp, per_k[k], "minimize")
+    message = f"{args.dist}: k={k}, best trial {t}, D_per_dim={report.D_per_dim!r} bits"
     return {**files, **bundle}, message
 
 
@@ -237,26 +229,27 @@ _BOUNDS_REPORT_KEYS = (
 
 
 def cmd_bounds(args) -> tuple[dict, str]:
-    target, n, case, tp = _resolve_discrete(args)
+    target, n, _, tp, max_points = _resolve_discrete(args)
     p = target.p
     k = select_k(p, n, target, "theorem") if args.k is None else _check_k(args.k, n)
     _at_least("--trials", args.trials)
+    # the bound refuses an epsilon outside (0, 1) before any code is drawn
+    rate_bits = rate(k, n, p)
+    bound = lemma1_bound(n, rate_bits, p, target.entropy_bits, tp.epsilon)
     # the estimate first: it refuses a codebook over the cap before any region is built
     est = None
     if args.estimate:
         est = vars(estimate_match_probability(
             target, n, k, args.trials, args.seed, epsilon=tp.epsilon
         ))
-    code = sample_generator((args.seed, 0), k, n, p)
-    region = build_region(code, target, "typicality", tp=tp, max_points=_max_points(args))
-    report = analyze_region(region, target)
-    rate_bits = rate(k, n, p)
+    _, (_, code, pick) = _search(target, n, k, "typicality", tp, args.seed, 1, max_points)
+    report = analyze_region(region_of(code, target, "typicality", tp.epsilon, pick), target)
     payload = {
         "kind": "bounds",
         **_run_keys(args.dist, args.seed, code),
         "rate_bits": rate_bits,
         "entropy_bits": target.entropy_bits,
-        "lemma1_bound": lemma1_bound(n, rate_bits, p, target.entropy_bits, tp.epsilon),
+        "lemma1_bound": bound,
         **{key: getattr(report, key) for key in _BOUNDS_REPORT_KEYS},
         "estimate": est,
     }
@@ -321,11 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=20)
 
     sp = sub.add_parser("reproduce", help="run a bundled case end to end")
-    sp.add_argument("--case", required=True, choices=("w1", "w2", "w3", "w4"))
+    # the case is read as a --dist with its own n and epsilon
+    sp.add_argument("--case", dest="dist", required=True, choices=("w1", "w2", "w3", "w4"))
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--out-dir", default=".")
     sp.add_argument("--max-points", type=int, default=None)
+    sp.set_defaults(n=None, epsilon_override=None)
 
     sp = sub.add_parser("bounds", help="closed-form bounds and optional estimate")
     _add_common(sp, criterion=None)

@@ -13,7 +13,8 @@ Every seeded draw is lqn's own replay of numpy's default_rng(SeedSequence(seed))
 draw on 32-bit words with its rejection loop. Stream replays one such generator
 on Python ints; substream_integers replays, for a whole range of trials t at
 once, the first draws on the substreams (seed, t), as whole-array passes over
-the trials.
+the trials. trial_draws turns those into the Monte Carlo estimator's
+per-trial code and shift.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .distributions import DiscreteTarget
 from .errors import NoFeasibleRateError, RankDeficientError, TooLargeError
-from .zplinalg import as_integer, ensure_prime, mod_reduce, rref
+from .zplinalg import check_products, ensure_prime, mod_reduce, ranks, rref
 
 MAX_CODEWORDS = 1 << 22
 MAX_POINTS = 1 << 24
@@ -61,10 +62,7 @@ def _checked_modulus(p, n: int) -> int:
 
     The bound is checked first, so a huge p is refused before trial division.
     """
-    p = as_integer(p)
-    if n * (p - 1) ** 2 >= 1 << 63:
-        raise TooLargeError(f"modulus {p} at length {n} overflows the int64 dot products")
-    return ensure_prime(p)
+    return ensure_prime(check_products(p, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,6 +306,24 @@ def substream_integers(seed, start: int, trials: int, words: int, p: int):
         rejected |= (scaled & _M32) < ((1 << 32) - p) % p
         values[:, j] = scaled >> 32
     return values, rejected
+
+
+def trial_draws(seed, start: int, trials: int, k: int, n: int, p: int) -> np.ndarray:
+    """Each Monte Carlo trial's full-rank generator and uniform shift, as (trials, k + 1, n).
+
+    Row t - start holds, for t in [start, start + trials), the k generator rows
+    draw_full_rank(rng, k, n, p) gives, then the shift rng.integers(0, p, size=n),
+    with rng = Stream((seed, t)). substream_integers draws every trial's first
+    (k + 1) * n words at once; a trial it flags, or whose generator ranks finds
+    rank-deficient, is redrawn that way on its own Stream.
+    """
+    drawn, rejected = substream_integers(seed, start, trials, (k + 1) * n, p)
+    drawn = drawn.reshape(-1, k + 1, n)
+    for i in np.flatnonzero(rejected | (ranks(drawn[:, :k], p) < k)).tolist():
+        rng = Stream((seed, start + i))
+        drawn[i, :k] = draw_full_rank(rng, k, n, p).generator
+        drawn[i, k] = rng.integers(0, p, size=n, dtype=np.int64)
+    return drawn
 
 
 def lex_grid(p: int, m: int) -> np.ndarray:

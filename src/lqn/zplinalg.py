@@ -1,7 +1,9 @@
 """Exact linear algebra over the prime field Z_p.
 
 Everything here works on integer numpy arrays and keeps all arithmetic
-exact: reductions and row echelon forms. No floating point.
+exact: reductions and row echelon forms. No floating point. Products of two
+residues are formed in int64, so rref and ranks refuse a modulus with
+(p-1)**2 >= 2**63 through check_products.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import TooLargeError
 
 
 def is_prime(p: int) -> bool:
@@ -37,6 +41,18 @@ def ensure_prime(p: int) -> int:
     p = as_integer(p)
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
+    return p
+
+
+def check_products(p, terms: int = 1) -> int:
+    """p as a Python int, refused with TooLargeError unless terms.(p-1)**2 < 2**63.
+
+    A sum of terms products of two residues then fits int64, as every product
+    in rref, ranks and the codes module must.
+    """
+    p = as_integer(p)
+    if terms * (p - 1) ** 2 >= 1 << 63:
+        raise TooLargeError(f"modulus {p} at length {terms} overflows the int64 dot products")
     return p
 
 
@@ -70,6 +86,7 @@ def rref(m, p: int) -> RrefResult:
     Pivots are scaled to 1 and cleared above and below, columns scanned left
     to right. Returns the canonical form, its rank, and the pivot columns.
     """
+    p = check_products(p)
     a = mod_reduce(np.atleast_2d(m), p)
     rows, cols = a.shape
     pivots: list[int] = []
@@ -101,8 +118,9 @@ def ranks(stack, p: int) -> np.ndarray:
     instead, mod p: that clears the column outside the pivot rows and keeps
     the row space, since c is a unit. The rank is the number of pivot rows.
     Entries are taken as mod_reduce takes them; values stay below p**2, so
-    like rref's this needs p < 2**31.5.
+    like rref this refuses p with check_products.
     """
+    p = check_products(p)
     a = mod_reduce(stack, p)
     free = np.ones(a.shape[:2], dtype=bool)
     at = np.arange(len(a))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import lqn.analysis
+import lqn.codes
 from lqn import (
     FundamentalRegion,
     TooLargeError,
@@ -227,10 +228,8 @@ def _no_draw(*args):
 
 
 def _forbid_draws(monkeypatch):
-    """Any trial's first draw (in bulk or on its substream) or redraw fails the test."""
-    monkeypatch.setattr(lqn.analysis, "substream_integers", _no_draw)
-    monkeypatch.setattr(lqn.analysis, "_substream", _no_draw)
-    monkeypatch.setattr(lqn.analysis, "draw_full_rank", _no_draw)
+    """Any trial's draw fails the test: the estimator draws only through trial_draws."""
+    monkeypatch.setattr(lqn.analysis, "trial_draws", _no_draw)
 
 
 @pytest.mark.parametrize("trials", [0, -3])
@@ -329,7 +328,7 @@ def test_estimator_matches_per_trial_oracle(monkeypatch, probs, n, k, trials, se
         return draw_full_rank(*args)
 
     monkeypatch.setattr(lqn.analysis, "check_cap", counting_cap)
-    monkeypatch.setattr(lqn.analysis, "draw_full_rank", counting_draw)
+    monkeypatch.setattr(lqn.codes, "draw_full_rank", counting_draw)
     est = estimate_match_probability(target, n, k, trials, seed)
     assert len(caps) == 1
     assert 0 < est.failures < trials
@@ -363,13 +362,14 @@ def test_estimator_redraws_a_rejected_word_on_its_substream(monkeypatch):
     probs[:2000] = (1 - 1e-6) / 2000
     target = validate_discrete(probs, p)
     opened = []
-    substream = lqn.analysis._substream
+    stream = lqn.codes.Stream
 
-    def counting_substream(*args):
-        opened.append(args)
-        return substream(*args)
+    # each redraw opens its trial's Stream((seed, t))
+    def counting_substream(seed):
+        opened.append(seed)
+        return stream(seed)
 
-    monkeypatch.setattr(lqn.analysis, "_substream", counting_substream)
+    monkeypatch.setattr(lqn.codes, "Stream", counting_substream)
     est = estimate_match_probability(target, n, k, trials, seed)
     assert opened == [(seed, 0)]
     assert est.failures == _oracle_failures(target, n, k, trials, seed)

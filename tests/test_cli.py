@@ -355,7 +355,7 @@ def test_point_cap_comes_before_any_code_is_drawn(tmp_path, capsys, monkeypatch,
 def test_estimate_over_the_codeword_cap_builds_no_region(tmp_path, capsys, monkeypatch):
     # 2**23 codewords exceed the cap; building the 2**24-point region first
     # takes seconds and gigabytes
-    monkeypatch.setattr(lqn.cli, "build_region", _refuse)
+    monkeypatch.setattr(lqn.cli, "choose", _refuse)
     dist = tmp_path / "skew2.json"
     dist.write_text(json.dumps({"type": "discrete", "p": 2, "probs": [0.8, 0.2]}))
     out = tmp_path / "out"
@@ -368,11 +368,24 @@ def test_estimate_over_the_codeword_cap_builds_no_region(tmp_path, capsys, monke
 
 
 def test_estimate_refuses_a_negative_seed(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(lqn.cli, "build_region", _refuse)
+    monkeypatch.setattr(lqn.cli, "choose", _refuse)
     out = tmp_path / "out"
     assert run(["bounds", "--dist", "w3", "--estimate", "--seed", -1, "--out-dir", out]) == 2
     assert not out.exists()
     assert capsys.readouterr().out == "error: expected non-negative integer\n"
+
+
+@pytest.mark.parametrize("estimate", [[], ["--estimate"]], ids=["bare", "estimate"])
+def test_bounds_refuses_an_epsilon_outside_the_unit_interval_before_any_draw(
+    tmp_path, capsys, monkeypatch, estimate
+):
+    monkeypatch.setattr(lqn.cli, "sample_generator", _refuse)
+    monkeypatch.setattr(lqn.cli, "choose", _refuse)
+    out = tmp_path / "out"
+    argv = ["bounds", "--dist", "w3", "--epsilon-override", 1.5, *estimate, "--out-dir", out]
+    assert run(argv) == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == "error: eps must lie in (0, 1)\n"
 
 
 # One small run of each command; the out-dir is appended.

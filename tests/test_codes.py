@@ -25,7 +25,16 @@ from lqn import (
     validate_discrete,
 )
 from lqn.cases import builtin_cases, continuous_builtins
-from lqn.codes import MAX_CODEWORDS, Stream, lex_grid, seed_words, substream_integers
+from lqn.codes import (
+    MAX_CODEWORDS,
+    Stream,
+    draw_full_rank,
+    lex_grid,
+    seed_words,
+    substream_integers,
+    trial_draws,
+)
+from lqn.zplinalg import ranks
 
 RATE_1_2_37 = 2.604726682814475  # log2(37)/2, frozen at 50-digit precision
 
@@ -239,6 +248,42 @@ def test_one_draw_of_generator_and_shift_is_the_two_draws(k, n):
         gen = two.integers(0, 7, size=(k, n), dtype=np.int64)
         shift = two.integers(0, 7, size=n, dtype=np.int64)
         assert np.array_equal(both, np.concatenate([gen.ravel(), shift]))
+
+
+def _per_trial(rng, k, n, p):
+    """One trial's draw on its own stream: a full-rank generator, then a shift."""
+    generator = draw_full_rank(rng, k, n, p).generator
+    return np.vstack([generator, rng.integers(0, p, size=n, dtype=np.int64)])
+
+
+# (k, n, p): 1073741827, the first prime above 2**30, sends about a quarter of
+# the 32-bit words to Lemire's rejection loop, and 7 (p - 1)**2 < 2**63 still;
+# at p = 2 many first generators are rank-deficient
+TRIAL_CASES = {"lemire": (2, 5, 1073741827), "deficient": (3, 4, 2), "small": (2, 6, 7)}
+
+
+@pytest.mark.parametrize("case", TRIAL_CASES)
+@pytest.mark.parametrize("seed", [0, (1, 2)], ids=str)
+def test_trial_draws_are_each_trials_own_draw(seed, case):
+    k, n, p = TRIAL_CASES[case]
+    # from start 2**32 - 2, t gains a second entropy word at its third trial
+    for start in (0, 2**32 - 2):
+        got = trial_draws(seed, start, 30, k, n, p)
+        assert got.dtype == np.int64 and got.shape == (30, k + 1, n)
+        for i, rows in enumerate(got):
+            assert np.array_equal(rows, _per_trial(Stream((seed, start + i)), k, n, p))
+    first, rejected = substream_integers(seed, 0, 30, (k + 1) * n, p)
+    redrawn = rejected | (ranks(first.reshape(30, k + 1, n)[:, :k], p) < k)
+    # the lemire and deficient cases go through the redraws they were chosen for
+    assert case == "small" or redrawn.sum() >= 5
+
+
+@pytest.mark.parametrize("k, n, p", TRIAL_CASES.values(), ids=TRIAL_CASES)
+def test_trial_draws_are_numpys_per_trial_draws(k, n, p):
+    got = trial_draws(9, 3, 4, k, n, p)
+    for i in range(4):
+        rng = np.random.default_rng(np.random.SeedSequence((9, 3 + i)))
+        assert np.array_equal(got[i], _per_trial(rng, k, n, p))
 
 
 def test_enumerate_codewords_order_and_closure():

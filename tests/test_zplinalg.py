@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import lqn.codes
-from lqn import ensure_prime, is_prime, make_code, mod_reduce, rref, sample_generator
+import lqn.zplinalg
+from lqn import TooLargeError, ensure_prime, is_prime, make_code, mod_reduce, rref, sample_generator
 from lqn.zplinalg import ranks
 
 
@@ -94,6 +95,66 @@ def test_ranks_of_fixed_stacks():
     stack = [[[1, 1], [2, 2]], [[0, 1], [1, 0]], [[0, 0], [0, 0]], [[3, 0], [0, 3]]]
     assert ranks(stack, 3).tolist() == [1, 2, 0, 0]
     assert ranks(np.zeros((0, 2, 4), dtype=np.int64), 5).shape == (0,)
+
+
+def _python_rref(m, p):
+    """Reduced row echelon form over Z_p on Python ints, and its pivot columns."""
+    a = [[int(x) % p for x in row] for row in m]
+    pivots = []
+    for c in range(len(a[0])):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if hit is None:
+            continue
+        a[r], a[hit] = a[hit], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                a[i] = [(x - a[i][c] * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        if len(pivots) == len(a):
+            break
+    return a, tuple(pivots)
+
+
+def _rank_two(rng, count, p):
+    """count 3 x 4 matrices of rank exactly 2 over Z_p: the third row is a
+    combination of the first two, on Python ints."""
+    out = []
+    while len(out) < count:
+        rows = [[int(x) for x in rng.integers(0, p, size=4)] for _ in range(2)]
+        a, b = (int(x) for x in rng.integers(1, p, size=2))
+        m = rows + [[(a * x + b * y) % p for x, y in zip(*rows)]]
+        if len(_python_rref(m, p)[1]) == 2:
+            out.append(m)
+    return np.array(out, dtype=np.int64)
+
+
+@pytest.mark.parametrize("fn", [rref, ranks], ids=["rref", "ranks"])
+def test_a_modulus_whose_products_overflow_int64_is_refused(monkeypatch, fn):
+    # at 4294967291, (p - 1)**2 >= 2**63: the row products wrap in int64
+    def refuse(*args):
+        raise AssertionError("reduced entries before the int64 check")
+
+    monkeypatch.setattr(lqn.zplinalg, "mod_reduce", refuse)
+    stack = np.ones((1, 3, 4), dtype=np.int64)
+    with pytest.raises(TooLargeError, match="modulus 4294967291 .*overflows the int64"):
+        fn(stack[0] if fn is rref else stack, 4294967291)
+
+
+def test_rref_and_ranks_are_exact_at_the_largest_modulus_they_take():
+    # 3037000493 is the largest prime with (p - 1)**2 < 2**63
+    p = 3037000493
+    assert (p - 1) ** 2 < 2**63 <= 3037000500**2
+    assert not any(is_prime(q) for q in range(p + 1, 3037000501))
+    stack = _rank_two(np.random.default_rng(5), 200, p)
+    assert ranks(stack, p).tolist() == [2] * 200
+    for m in stack:
+        want, pivots = _python_rref(m.tolist(), p)
+        got = rref(m, p)
+        assert got.rank == 2 and got.pivot_cols == pivots
+        assert got.matrix.tolist() == want
 
 
 def test_rref_fixed_cases():
