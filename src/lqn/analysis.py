@@ -130,6 +130,8 @@ class MatchabilityEstimate:
 _BLOCK_ELEMENTS = 1 << 15
 # Trials x words that one trial_draws call draws, in whole scan blocks (at least one).
 _DRAW_WORDS = 1 << 18
+# Entries of the head table: partial sums of the leading coordinates' log2 masses.
+_HEAD_ENTRIES = 1 << 16
 
 
 def estimate_match_probability(
@@ -163,6 +165,16 @@ def estimate_match_probability(
     the log2 mass of its negation, added into ll left to right, as
     log2_likelihoods adds it. A trial fails when none of its sums lies in the
     interval typical_interval gives.
+
+    The first h coordinates are scored in one lookup. h is the largest length
+    in [1, n] with (2p)**h <= _HEAD_ENTRIES (h = 1 when 2p alone exceeds it),
+    and head holds, for every digit-sum vector d of that length read as a
+    base-2p number, table[d_0] + ... + table[d_{h-1}] added left to right, the
+    same float additions the loop would make from a zero start. The leading
+    and trailing halves' first h digits a and b (the shift on the leading side)
+    become two base-2p indices x and y, since sum_j (a_j + b_j).(2p)**(h-1-j)
+    = x + y, and ll = head[x + y]; only coordinates h..n-1 are added one at a
+    time.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -176,6 +188,10 @@ def estimate_match_probability(
     lead, tail = lex_grid(p, k // 2), lex_grid(p, k - k // 2)
     # entry x is the log2 mass of -x mod p, for every sum x of two reduced digits
     table = target.log2_probs[-np.arange(2 * p) % p]
+    # head[d] = sum of table[d_j] over the first h digits d_j of d in base 2p, left to right
+    head, h = table, 1
+    while h < n and len(head) * 2 * p <= _HEAD_ENTRIES:
+        head, h = (head[:, None] + table).ravel(), h + 1
     lo, hi = typical_interval(n, target, eps)
     block = max(1, _BLOCK_ELEMENTS // p**k)
     chunk = block * max(1, _DRAW_WORDS // (block * (k + 1) * n))
@@ -183,12 +199,16 @@ def estimate_match_probability(
     for first in range(0, trials, chunk):
         drawn = trial_draws(seed, first, min(chunk, trials - first), k, n, p)
         for rows in np.split(drawn, range(block, len(drawn), block)):
-            ll = np.zeros((len(lead), len(tail), len(rows)))
             for j in range(n):
                 g, s = rows[:, :k, j].T, rows[:, k, j]
                 a = (lead @ g[: k // 2] + s) % p
                 b = tail @ g[k // 2 :] % p
-                ll += table[a[:, None] + b]
+                # the first h digits accumulate into two base-2p indices into head
+                x, y = (x * 2 * p + a, y * 2 * p + b) if 0 < j < h else (a, b)
+                if j == h - 1:
+                    ll = head[x[:, None] + y]
+                elif j >= h:
+                    ll += table[x[:, None] + y]
             failures += int((~((ll >= lo) & (ll <= hi)).any(axis=(0, 1))).sum())
     return MatchabilityEstimate(
         trials=trials,

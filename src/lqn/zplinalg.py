@@ -8,6 +8,7 @@ residues are formed in int64, so rref and ranks refuse a modulus with
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -16,8 +17,9 @@ import numpy as np
 from .errors import TooLargeError
 
 
+@functools.lru_cache(maxsize=64)
 def is_prime(p: int) -> bool:
-    """Trial-division primality test."""
+    """Trial-division primality test, cached: every code drawn at p tests p again."""
     if p < 2:
         return False
     d = 2

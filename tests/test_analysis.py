@@ -1,6 +1,7 @@
 """Divergence reports, the eps* budget, and the matchability machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from lqn import (
     uniform_target,
     validate_discrete,
 )
+from lqn.cases import builtin_cases
 from lqn.codes import draw_full_rank
 from lqn.distributions import typical
 from lqn.zplinalg import rref
@@ -279,6 +281,7 @@ def _first_draw_is_deficient(seed, t, k, n, p):
 
 
 W3_PROBS = [0.05, 0.6, 0.05, 0.05, 0.15, 0.05, 0.05]
+W4_PROBS = builtin_cases()["w4"].target.probs.tolist()
 
 
 def _heavy_symbols(p, heavy):
@@ -307,11 +310,16 @@ def _heavy_symbols(p, heavy):
         # 2039**2 is the largest prime square under MAX_CODEWORDS: one trial per
         # block, each a full 2039 x 2039 table of message halves
         (_heavy_symbols(2039, 11), 3, 2, 2, 0),
+        # 6**6 = 46,656 head entries: every coordinate is scored by the head lookup
+        ([0.7, 0.2, 0.1], 6, 2, 60, 4),
+        # 26**3 = 17,576 head entries: three coordinates in the head, three after it
+        (W4_PROBS, 6, 1, 60, 1),
     ],
     # the 60-trial cases keep the ids pytest derives from (probs, n, k, seed)
     ids=[
         "probs0-6-1-5", "probs1-6-2-17", "probs2-8-1-99", "probs3-6-2-3", "probs4-5-2-8",
         "rank-deficient", "one-trial-blocks", "two-trial-blocks", "bounds-mc", "largest-square",
+        "head-is-every-coordinate", "w4-head-of-three",
     ],
 )
 def test_estimator_matches_per_trial_oracle(monkeypatch, probs, n, k, trials, seed):
@@ -339,6 +347,26 @@ def test_estimator_matches_per_trial_oracle(monkeypatch, probs, n, k, trials, se
     assert len(redraws) == sum(
         _first_draw_is_deficient(seed, t, k, n, p) for t in range(trials)
     )
+
+
+@pytest.mark.parametrize(
+    "probs, n, k, trials",
+    [(W3_PROBS, 6, 3, 2000), ([13 / 15, 2 / 15], 30, 16, 7)],
+    ids=["bounds-mc", "one-trial-blocks"],
+)
+def test_estimator_memory_is_bounded_by_its_blocks(probs, n, k, trials):
+    # all 2000 bounds-mc trials scanned at once would take 5.5 MB per float array,
+    # and a head over all 30 binary coordinates 4**30 doubles
+    target = validate_discrete(probs, len(probs))
+    tracemalloc.start()
+    try:
+        estimate_match_probability(target, n, k, trials, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one draw chunk, a block's sums, indices and gathered masses, and the head table
+    block = max(lqn.analysis._BLOCK_ELEMENTS, target.p**k)
+    assert peak < 8 * (lqn.analysis._DRAW_WORDS + 3 * block + lqn.analysis._HEAD_ENTRIES)
 
 
 def _lemire_redraws(seed, t, words, p):

@@ -34,7 +34,7 @@ from lqn.codes import (
     substream_integers,
     trial_draws,
 )
-from lqn.zplinalg import ranks
+from lqn.zplinalg import is_prime, ranks
 
 RATE_1_2_37 = 2.604726682814475  # log2(37)/2, frozen at 50-digit precision
 
@@ -284,6 +284,25 @@ def test_trial_draws_are_numpys_per_trial_draws(k, n, p):
     for i in range(4):
         rng = np.random.default_rng(np.random.SeedSequence((9, 3 + i)))
         assert np.array_equal(got[i], _per_trial(rng, k, n, p))
+
+
+def test_trial_draws_test_the_modulus_for_primality_once(monkeypatch):
+    # at p = 1073741827 about a quarter of the words are rejected, so most of the
+    # 200 trials are redrawn, each through make_code and its primality test
+    p = 1073741827
+    made = []
+    make_code = lqn.codes.make_code
+
+    def counting_make_code(*args):
+        made.append(args)
+        return make_code(*args)
+
+    monkeypatch.setattr(lqn.codes, "make_code", counting_make_code)
+    is_prime.cache_clear()
+    trial_draws(0, 0, 200, 2, 5, p)
+    info = is_prime.cache_info()
+    assert len(made) > 100
+    assert (info.misses, info.hits) == (1, len(made) - 1)
 
 
 def test_enumerate_codewords_order_and_closure():
