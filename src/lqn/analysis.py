@@ -170,11 +170,11 @@ def estimate_match_probability(
     in [1, n] with (2p)**h <= _HEAD_ENTRIES (h = 1 when 2p alone exceeds it),
     and head holds, for every digit-sum vector d of that length read as a
     base-2p number, table[d_0] + ... + table[d_{h-1}] added left to right, the
-    same float additions the loop would make from a zero start. The leading
-    and trailing halves' first h digits a and b (the shift on the leading side)
-    become two base-2p indices x and y, since sum_j (a_j + b_j).(2p)**(h-1-j)
-    = x + y, and ll = head[x + y]; only coordinates h..n-1 are added one at a
-    time.
+    same float additions the loop would make from a zero start (0.0 + m is m
+    for every log2 mass m, all being negative). The leading and trailing
+    halves' first h digits a and b (the shift on the leading side) become two
+    base-2p indices x and y, since sum_j (a_j + b_j).(2p)**(h-1-j) = x + y,
+    and ll = head[x + y]; only coordinates h..n-1 are added one at a time.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
