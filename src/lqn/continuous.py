@@ -77,39 +77,53 @@ def bin_density(target: ContinuousTarget, p: int) -> BinnedDensity:
     The sorted cuts are the bin edges, every interior knot moved into [0, 2A)
     and the seam A, so each chunk between two cuts lies in one bin and on one
     knot segment, read at u - s with s = 0 below the seam and 2A from it on.
+
+    It all runs on one integer grid. Positions count units of 1/(p q), q the
+    lcm of the denominators of A and the knot positions, so every cut is an
+    int; values count units of 1/unit, unit the lcm of the value denominators
+    times the lcm of the segment widths, so every slope and every chunk
+    endpoint value is an int too.
     """
     p = ensure_prime(p)
-    a = Fraction(target.half_width)
-    delta = 2 * a / p
-    xs = [Fraction(x) for x, _ in target.knots]
-    fs = [Fraction(f) for _, f in target.knots]
-    cuts = sorted({y * delta for y in range(p + 1)} | {x % (2 * a) for x in xs[1:-1]} | {a})
+    a, b = target.half_width.as_integer_ratio()
+    xs, fs = zip(*((x.as_integer_ratio(), f.as_integer_ratio()) for x, f in target.knots))
+    q = math.lcm(b, *(d for _, d in xs))
+    pq = p * q
+    xs = [x * (pq // d) for x, d in xs]
+    half, width = a * (pq // b), 2 * a * (q // b)
+    steps = [x1 - x0 for x0, x1 in zip(xs, xs[1:])]
+    unit = math.lcm(*(d for _, d in fs)) * math.lcm(*steps)
+    fs = [f * (unit // d) for f, d in fs]
+    slopes = [(f1 - f0) // w for f0, f1, w in zip(fs, fs[1:], steps)]
+    cuts = sorted({y * width for y in range(p + 1)} | {x % (2 * half) for x in xs[1:-1]} | {half})
     chunks = [[] for _ in range(p)]
     for u, v in zip(cuts, cuts[1:]):
-        s = 0 if u < a else 2 * a
+        s = 0 if u < half else 2 * half
         i = bisect_right(xs, u - s) - 1
-        slope = (fs[i + 1] - fs[i]) / (xs[i + 1] - xs[i])
-        fu, fv = (fs[i] + slope * (t - s - xs[i]) for t in (u, v))
-        chunks[u // delta].append((v - u, fu, fv))
-    masses, r = [], Fraction(1)
+        fu, fv = (fs[i] + slopes[i] * (t - s - xs[i]) for t in (u, v))
+        chunks[u // width].append((v - u, fu, fv))
+    masses, r = [], (1, 1)
     mean_log2 = np.empty(p, dtype=np.float64)
     for y, bin_chunks in enumerate(chunks):
         vals = [f for _, fu, fv in bin_chunks for f in (fu, fv)]
-        lo = min(vals)
+        lo, hi = min(vals), max(vals)
         if lo <= 0:
             raise NotPermissibleError("density touches zero inside a bin")
-        masses.append(sum(((fu + fv) * w / 2 for w, fu, fv in bin_chunks), Fraction(0)))
-        r = min(r, lo / max(vals))
+        masses.append(sum((fu + fv) * w for w, fu, fv in bin_chunks))
+        # the smaller of lo / hi and r, compared by cross products
+        r = (lo, hi) if lo * r[1] < r[0] * hi else r
         acc = 0.0
         for w, fu, fv in bin_chunks:
-            acc += _piece_log_integral(float(fu), float(fv), float(w))
-        mean_log2[y] = acc / math.log(2.0) / float(delta)
+            # int true division rounds correctly, so each float is float(Fraction)'s
+            acc += _piece_log_integral(fu / unit, fv / unit, w / pq)
+        mean_log2[y] = acc / math.log(2.0) / (width / pq)
     mean_log2.setflags(write=False)
+    delta, r = Fraction(width, pq), Fraction(*r)
     # r and eta = delta / r are exact until here; neither may leave the float range
     if not (np.isfinite(mean_log2).all() and float(r) > 0 and delta / r <= np.finfo(float).max):
         raise ValueError(f"the density is too steep to bin at p={p} in floating point")
-    total = sum(masses, Fraction(0))
-    binned = validate_discrete([float(m / total) for m in masses], p)
+    total = sum(masses)
+    binned = validate_discrete([m / total for m in masses], p)
     return BinnedDensity(delta, binned, float(delta / r), float(r), mean_log2)
 
 
@@ -177,7 +191,9 @@ def continuous_divergence(cc: ContinuousConstruction) -> ContinuousReport:
     """
     region, bins = cc.region, cc.bins
     n = region.code.n
-    per_rep = bins.mean_log2[region.reps].cumsum(axis=1)[:, -1]
+    per_rep = bins.mean_log2[region.reps[:, 0]]
+    for j in range(1, n):
+        per_rep += bins.mean_log2[region.reps[:, j]]
     d = (
         -n * math.log2(float(bins.delta))
         - math.log2(region.size)

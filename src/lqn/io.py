@@ -121,7 +121,7 @@ def _digits(count: int) -> np.ndarray:
     table = np.empty((count, width), dtype=np.uint8)
     for j in range(width):
         place = 10**j
-        column = np.resize(np.repeat(ascii_digits, place), count)
+        column = np.tile(np.repeat(ascii_digits, place), -(-count // (10 * place)))[:count]
         column[: place if j else 0] = 0
         table[:, width - 1 - j] = column
     return table
@@ -154,9 +154,8 @@ def region_csv(region: FundamentalRegion) -> bytes:
     cells[:, :, -1] = ord(",")
     body[:, -2] = region.good_flags + ord("0")
     body[:, -1] = ord("\n")
-    flat = body.ravel()
     header = ["syndrome_index"] + [f"r{i}" for i in range(n)] + ["good"]
-    return _csv_head(header).encode() + flat[flat != 0].tobytes()
+    return _csv_head(header).encode() + body.tobytes().translate(None, b"\0")
 
 
 def load_region_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -209,13 +209,27 @@ def column_max(a: np.ndarray) -> np.ndarray:
 def region_of(
     code: LinearCode, target: DiscreteTarget, criterion: str, epsilon: float, pick: tuple
 ) -> FundamentalRegion:
-    """The region of the members choose picked, flagged from the sums it returned."""
+    """The region of the members choose picked, flagged from the sums it returned.
+
+    Representatives are filled one column at a time: a pivot column from the
+    picked messages' digit, a free column from the syndrome's digit plus the
+    picked shift, wrapped mod p through a 2p-entry table. Beside the
+    representatives it holds a column or two of p**(n-k) entries, never a
+    (p**(n-k), n-k) table.
+    """
     row, ll = pick
-    msgs, shift = _members(code)
-    reps = np.empty((code.num_cosets, code.n), dtype=np.int64)
-    reps[:, list(code.pivot_cols)] = msgs[row]
-    reps[:, list(code.nonpivot_cols)] = (lex_grid(code.p, code.n - code.k) + shift[row]) % code.p
+    p = code.p
     good = typical(ll, code.n, target, epsilon)
+    msgs, shift = _members(code)
+    wrap = np.arange(2 * p) % p
+    reps = np.empty((code.num_cosets, code.n), dtype=np.int64)
+    for i, j in enumerate(code.pivot_cols):
+        reps[:, j] = msgs[:, i].take(row)
+    for f, j in enumerate(code.nonpivot_cols):
+        # free digit f of the syndrome index runs through 0..p-1, each held for p**(n-k-f-1) rows
+        col = shift[:, f].take(row).reshape(p**f, p, -1)
+        col += np.arange(p)[:, None]
+        reps[:, j] = wrap[col.ravel()]
     reps.setflags(write=False)
     good.setflags(write=False)
     return FundamentalRegion(code, reps, good, criterion, epsilon)

@@ -1,6 +1,8 @@
 """Interval targets: folding, binning, spread bounds, lifted divergence."""
 
 import math
+import random
+from bisect import bisect_right
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -21,9 +23,11 @@ from lqn import (
     lift_region,
     select_k,
     validate_continuous,
+    validate_discrete,
 )
 from lqn.cases import continuous_builtins
-from lqn.continuous import _piece_log_integral
+from lqn.continuous import BinnedDensity, _piece_log_integral
+from lqn.zplinalg import ensure_prime
 
 TRIANGLE = continuous_builtins()["triangle"]
 FLAT = continuous_builtins()["flat"]
@@ -138,6 +142,120 @@ def test_bin_density_matches_per_bin_rational_oracle(name, p):
     assert bins.r == r
     assert bins.eta == eta
     assert bins.mean_log2.tolist() == mean_log2
+
+
+def fraction_bin_density(target, p):
+    """bin_density in Fraction arithmetic, as it was before the integer grid:
+    the reference whose floats and refusals the grid must reproduce bit for bit."""
+    p = ensure_prime(p)
+    a = Fraction(target.half_width)
+    delta = 2 * a / p
+    xs = [Fraction(x) for x, _ in target.knots]
+    fs = [Fraction(f) for _, f in target.knots]
+    cuts = sorted({y * delta for y in range(p + 1)} | {x % (2 * a) for x in xs[1:-1]} | {a})
+    chunks = [[] for _ in range(p)]
+    for u, v in zip(cuts, cuts[1:]):
+        s = 0 if u < a else 2 * a
+        i = bisect_right(xs, u - s) - 1
+        slope = (fs[i + 1] - fs[i]) / (xs[i + 1] - xs[i])
+        fu, fv = (fs[i] + slope * (t - s - xs[i]) for t in (u, v))
+        chunks[u // delta].append((v - u, fu, fv))
+    masses, r = [], Fraction(1)
+    mean_log2 = np.empty(p, dtype=np.float64)
+    for y, bin_chunks in enumerate(chunks):
+        vals = [f for _, fu, fv in bin_chunks for f in (fu, fv)]
+        lo = min(vals)
+        if lo <= 0:
+            raise NotPermissibleError("density touches zero inside a bin")
+        masses.append(sum(((fu + fv) * w / 2 for w, fu, fv in bin_chunks), Fraction(0)))
+        r = min(r, lo / max(vals))
+        acc = 0.0
+        for w, fu, fv in bin_chunks:
+            acc += _piece_log_integral(float(fu), float(fv), float(w))
+        mean_log2[y] = acc / math.log(2.0) / float(delta)
+    mean_log2.setflags(write=False)
+    if not (np.isfinite(mean_log2).all() and float(r) > 0 and delta / r <= np.finfo(float).max):
+        raise ValueError(f"the density is too steep to bin at p={p} in floating point")
+    total = sum(masses, Fraction(0))
+    binned = validate_discrete([float(m / total) for m in masses], p)
+    return BinnedDensity(delta, binned, float(delta / r), float(r), mean_log2)
+
+
+REFERENCE_PRIMES = (2, 3, 5, 7, 31, 101)
+# 1.5, 2.5, 3.5, 15.5 and 50.5 put exact bin edges at whole numbers for p = 3, 5, 7, 31, 101
+HALF_WIDTHS = (1.0, 0.5, 1.5, 2.5, 3.5, 15.5, 50.5, 1e-300, 1e300, 1e308)
+
+
+def random_targets(seed, count):
+    """Seeded piecewise-linear targets, normalized in exact rationals.
+
+    Interior knots fall on a bin edge of some p in REFERENCE_PRIMES (on either
+    side of the seam), on the fold point 0, at -A/2 or A/2, or anywhere; about
+    one target in seven has values near the bottom of the float range, steep
+    enough that most of them are refused, and one in fifty is built past
+    validate_continuous with a zero value.
+    """
+    rng = random.Random(seed)
+    targets = []
+    while len(targets) < count:
+        a = rng.choice(HALF_WIDTHS + (rng.uniform(0.1, 10.0),))
+        interior = set()
+        for _ in range(rng.randint(0, 5)):
+            kind = rng.random()
+            if kind < 0.3:
+                p = rng.choice(REFERENCE_PRIMES)
+                edge = rng.randint(1, p - 1) * (2 * a / p)
+                interior.add(edge if edge < a else edge - 2 * a)
+            elif kind < 0.4:
+                interior.add(0.0)
+            elif kind < 0.5:
+                interior.add(rng.choice((-a / 2, a / 2)))
+            else:
+                interior.add(rng.uniform(-a, a))
+        xs = [-a, *sorted(x for x in interior if -a < x < a), a]
+        steep = rng.random() < 1 / 7
+        fs = [
+            rng.choice((5e-324, 1e-310, 10 ** rng.uniform(-323, -250)))
+            if steep and rng.random() < 0.5
+            else rng.uniform(0.05, 2.0)
+            for _ in xs
+        ]
+        mass = sum(
+            (Fraction(f0) + Fraction(f1)) * (Fraction(x1) - Fraction(x0)) / 2
+            for x0, f0, x1, f1 in zip(xs, fs, xs[1:], fs[1:])
+        )
+        fs = [float(Fraction(f) / mass) for f in fs]
+        if rng.random() < 0.02:
+            fs[rng.randrange(len(fs))] = 0.0
+            targets.append(ContinuousTarget(a, tuple(zip(xs, fs)), 0.0, max(fs)))
+        elif min(fs) > 0:
+            targets.append(validate_continuous(a, list(zip(xs, fs))))
+    return targets
+
+
+def _binning_outcome(bin_fn, target, p):
+    """Every float of a binning as int64 bits, or the refusal's type and message."""
+    try:
+        bins = bin_fn(target, p)
+    except Exception as err:  # any refusal, compared by type and message
+        return type(err), str(err)
+    floats = np.concatenate([bins.binned.probs, [bins.r, bins.eta], bins.mean_log2])
+    return bins.delta, floats.view(np.int64).tolist()
+
+
+def test_bin_density_matches_fraction_reference_bit_for_bit():
+    refusals = {}
+    for target in random_targets(2019, 1000):
+        for p in REFERENCE_PRIMES:
+            want = _binning_outcome(fraction_bin_density, target, p)
+            assert _binning_outcome(bin_density, target, p) == want, (target, p)
+            if isinstance(want[0], type):
+                refusals[want] = refusals.get(want, 0) + 1
+    # both refusals are reached, the steep one at every p
+    assert sum(n for (kind, _), n in refusals.items() if kind is NotPermissibleError) > 0
+    assert {msg for kind, msg in refusals if kind is ValueError} == {
+        f"the density is too steep to bin at p={p} in floating point" for p in REFERENCE_PRIMES
+    }
 
 
 def test_bin_pdf_rejects_zero_touching_pieces():

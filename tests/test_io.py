@@ -259,8 +259,8 @@ def random_region(p, n, k, seed):
     return FundamentalRegion(code, reps, good, "ml", 0.5)
 
 
-# one- and two-digit symbols; p**(n-k) rows from 2 to 2197
-ROW_POWERS = {2: 11, 3: 7, 5: 4, 7: 3, 13: 3, 37: 2}
+# one- to four-digit symbols; p**(n-k) rows from 2 to 10201
+ROW_POWERS = {2: 11, 3: 7, 5: 4, 7: 3, 13: 3, 37: 2, 101: 2, 1009: 1}
 
 
 @settings(max_examples=60, deadline=None)
@@ -270,12 +270,15 @@ ROW_POWERS = {2: 11, 3: 7, 5: 4, 7: 3, 13: 3, 37: 2}
     k=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-# row counts 16 and 243 cross a power of ten; 37**2 rows of two-digit symbols
+# row counts 16, 243 and 10201 cross a power of ten; 37**2 rows of two-digit
+# symbols, 101**2 of three-digit and 1009 of four-digit ones
 @example(p=2, m=4, k=1, seed=0)
 @example(p=3, m=5, k=2, seed=1)
 @example(p=7, m=3, k=1, seed=2)
 @example(p=13, m=2, k=3, seed=3)
 @example(p=37, m=2, k=1, seed=4)
+@example(p=101, m=2, k=2, seed=5)
+@example(p=1009, m=1, k=3, seed=6)
 def test_region_csv_matches_cell_oracle(p, m, k, seed):
     m = min(m, ROW_POWERS[p])
     region = random_region(p, m + k, k, seed)

@@ -334,6 +334,23 @@ def test_choose_memory_is_bounded_by_the_block_budget(criterion):
     assert peak < 16 * partition._BLOCK_POINTS + row.nbytes + ll.nbytes
 
 
+@pytest.mark.parametrize("criterion", ["ml", "typicality"])
+def test_region_of_memory_is_bounded_by_its_columns(criterion):
+    # 2**15 representatives of 22 entries; a (2**15, 15) syndrome digit grid or
+    # the picked rows' shifts alone would take 15 of the 4 columns allowed beside them
+    p, n, k = 2, 22, 7
+    code = sample_generator((22, 7), k, n, p)
+    target = validate_discrete([0.8, 0.2], p)
+    pick = partition.choose(code, target, criterion, 1 / n, None)
+    tracemalloc.start()
+    try:
+        region = partition.region_of(code, target, criterion, 1 / n, pick)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < region.reps.nbytes + 4 * 8 * p ** (n - k)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     # 255/256 and 65535/65536 rows are where the weights widen to uint16 and uint32
