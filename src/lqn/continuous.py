@@ -9,9 +9,12 @@ continuous picture, whose divergence has a closed form for piecewise-linear
 densities.
 
 bin_density does the wrap and the binning in one pass over the sorted cut
-points. All of it (knots, bin edges, seam, chunk endpoint values) runs in
-exact rationals so no mass ever straddles a boundary due to float fuzz; only
-the final logarithmic integrals are evaluated in floats.
+points, on one integer grid: positions and density values each count a fixed
+rational unit, so the knots, bin edges, seam, chunk endpoint values, masses
+and spread ratio are exact ints and no mass ever straddles a boundary due to
+float fuzz. Each float it derives is one int true division, which Python
+rounds correctly, so it is the double float() gives for the exact rational;
+only the final logarithmic integrals are evaluated in floats.
 """
 
 from __future__ import annotations

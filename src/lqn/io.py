@@ -10,8 +10,9 @@ already renamed. The renames are not atomic as a set: a process killed
 between two of them still leaves part of a bundle.
 
 region.csv's body is rendered as one byte array, its cells taken from digit
-tables; the float CSVs format each value with str, the shortest round-trip
-repr.
+tables and right-aligned in fixed columns padded with 0 bytes, which
+bytes.translate then deletes; the float CSVs format each value with str, the
+shortest round-trip repr.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def region_csv(region: FundamentalRegion) -> bytes:
     The body is rendered into one (rows, width) byte array: each cell's text
     is taken from a digit table, right-aligned in a fixed column, and the
     commas, the flag and the newline are fixed columns. The 0 bytes padding
-    the digits are then dropped. A representative outside [0, p) or a shape
+    the digits are then deleted from the rendered bytes. A representative outside [0, p) or a shape
     other than (num_cosets, n) is refused before anything is rendered.
     """
     code, reps = region.code, region.reps

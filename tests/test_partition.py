@@ -336,8 +336,8 @@ def test_choose_memory_is_bounded_by_the_block_budget(criterion):
 
 @pytest.mark.parametrize("criterion", ["ml", "typicality"])
 def test_region_of_memory_is_bounded_by_its_columns(criterion):
-    # 2**15 representatives of 22 entries; a (2**15, 15) syndrome digit grid or
-    # the picked rows' shifts alone would take 15 of the 4 columns allowed beside them
+    # 2**15 representatives of 22 entries; a (2**15, 15) syndrome digit grid or the
+    # picked rows' (2**15, 15) shifts would each take 15 columns, against 4 allowed
     p, n, k = 2, 22, 7
     code = sample_generator((22, 7), k, n, p)
     target = validate_discrete([0.8, 0.2], p)
