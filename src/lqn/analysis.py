@@ -11,6 +11,7 @@ so reports are bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -160,11 +161,22 @@ def estimate_match_probability(
     trials x messages, one coordinate at a time. A message is its leading
     k // 2 digits x, a row of lead, then its trailing digits y, a row of tail,
     so in lex order its index is x_idx * len(tail) + y_idx. Per coordinate j,
-    a = x.G_lead + s_j and b = y.G_tail, each reduced mod p, are two small
-    tables; the shifted codeword digit is (a + b) mod p, and table[a + b] is
-    the log2 mass of its negation, added into ll left to right, as
-    log2_likelihoods adds it. A trial fails when none of its sums lies in the
-    interval typical_interval gives.
+    a = x.G_lead + s_j and b = y.G_tail, each reduced mod p, are the two
+    halves' digits for every message; the shifted codeword digit is
+    (a + b) mod p, and table[a + b] is the log2 mass of its negation, added
+    into ll left to right, as log2_likelihoods adds it. A trial fails when
+    none of its sums lies in the interval typical_interval gives.
+
+    a depends only on column j's k // 2 leading generator digits and s_j, and
+    b only on its other k - k // 2 digits. Read base p, each is one column
+    code, and two tables built once per call map a code to its half's digits
+    for every message of that half: lt has p**(k//2 + 1) rows of
+    p**(k//2) digits and tt has p**(k - k//2) rows of as many. When their
+    entries together fit _HEAD_ENTRIES, each draw chunk's codes are computed
+    once, as (trials, 2, n) integers, and a coordinate takes one row of each
+    table per trial, with no product and no remainder. Past that budget
+    (large p or k) a and b are formed per coordinate as int64 products
+    reduced mod p, which give the same digits.
 
     The first h coordinates are scored in one lookup. h is the largest length
     in [1, n] with (2p)**h <= _HEAD_ENTRIES (h = 1 when 2p alone exceeds it),
@@ -185,7 +197,26 @@ def estimate_match_probability(
     bound = lemma1_bound(n, rate(k, n, p), p, target.entropy_bits, eps)
     check_cap(p**k, None, MAX_CODEWORDS, "codewords")
     seed_words((seed, 0))  # a bad seed is refused here, before any draw
-    lead, tail = lex_grid(p, k // 2), lex_grid(p, k - k // 2)
+    m = k // 2
+    lead, tail = lex_grid(p, m), lex_grid(p, k - m)
+    if p ** (2 * m + 1) + p ** (2 * (k - m)) <= _HEAD_ENTRIES:
+        # row c of lt: the lead digits of a column whose generator digits, then shift, read c
+        cols = lex_grid(p, m + 1)
+        lt, tt = (cols[:, :m] @ lead.T + cols[:, m:]) % p, lex_grid(p, k - m) @ tail.T % p
+
+        def columns(drawn):
+            # each trial's lead and tail column codes, (trials, 2, n), by Horner's rule
+            code = lambda rows: functools.reduce(lambda c, i: c * p + drawn[:, i], rows, 0)
+            return np.stack([code([*range(m), k]), code(range(m, k))], axis=1)
+
+        def digits(rows, j):
+            return lt[rows[:, 0, j]], tt[rows[:, 1, j]]
+    else:
+        def columns(drawn):
+            return drawn
+
+        def digits(rows, j):
+            return (rows[:, :m, j] @ lead.T + rows[:, k, j, None]) % p, rows[:, m:k, j] @ tail.T % p
     # entry x is the log2 mass of -x mod p, for every sum x of two reduced digits
     table = target.log2_probs[-np.arange(2 * p) % p]
     # head[d] = sum of table[d_j] over the first h digits d_j of d in base 2p, left to right
@@ -197,19 +228,17 @@ def estimate_match_probability(
     chunk = block * max(1, _DRAW_WORDS // (block * (k + 1) * n))
     failures = 0
     for first in range(0, trials, chunk):
-        drawn = trial_draws(seed, first, min(chunk, trials - first), k, n, p)
+        drawn = columns(trial_draws(seed, first, min(chunk, trials - first), k, n, p))
         for rows in np.split(drawn, range(block, len(drawn), block)):
             for j in range(n):
-                g, s = rows[:, :k, j].T, rows[:, k, j]
-                a = (lead @ g[: k // 2] + s) % p
-                b = tail @ g[k // 2 :] % p
+                a, b = digits(rows, j)
                 # the first h digits accumulate into two base-2p indices into head
                 x, y = (x * 2 * p + a, y * 2 * p + b) if 0 < j < h else (a, b)
                 if j == h - 1:
-                    ll = head[x[:, None] + y]
+                    ll = head[x[:, :, None] + y[:, None]]
                 elif j >= h:
-                    ll += table[x[:, None] + y]
-            failures += int((~((ll >= lo) & (ll <= hi)).any(axis=(0, 1))).sum())
+                    ll += table[x[:, :, None] + y[:, None]]
+            failures += int((~((ll >= lo) & (ll <= hi)).any(axis=(1, 2))).sum())
     return MatchabilityEstimate(
         trials=trials,
         failures=failures,

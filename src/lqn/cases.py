@@ -70,19 +70,33 @@ def _w4_probs() -> list[float]:
     return [(7 - min(y, 13 - y)) / 49 for y in range(13)]
 
 
+# Each bundled target is built on demand: a command looks up one name.
+_CASES = {
+    "w1": lambda: BuiltinCase(2, (1,), validate_discrete(_w1_probs(), 37), seed=11),
+    "w2": lambda: BuiltinCase(2, (1,), validate_discrete(_w2_probs(), 37), seed=12),
+    "w3": lambda: BuiltinCase(6, (1, 2, 3, 4, 5), validate_discrete(_w3_probs(), 7), seed=13),
+    "w4": lambda: BuiltinCase(6, (1,), validate_discrete(_w4_probs(), 13), seed=3),
+}
+_CONTINUOUS = {
+    "triangle": lambda: validate_continuous(
+        1.0, ((-1.0, 0.0625), (0.0, 0.9375), (1.0, 0.0625))
+    ),
+    "flat": lambda: validate_continuous(1.0, ((-1.0, 0.5), (1.0, 0.5))),
+}
+
+
 def builtin_cases() -> dict[str, BuiltinCase]:
-    return {
-        "w1": BuiltinCase(2, (1,), validate_discrete(_w1_probs(), 37), seed=11),
-        "w2": BuiltinCase(2, (1,), validate_discrete(_w2_probs(), 37), seed=12),
-        "w3": BuiltinCase(6, (1, 2, 3, 4, 5), validate_discrete(_w3_probs(), 7), seed=13),
-        "w4": BuiltinCase(6, (1,), validate_discrete(_w4_probs(), 13), seed=3),
-    }
+    return {name: make() for name, make in _CASES.items()}
 
 
 def continuous_builtins() -> dict[str, ContinuousTarget]:
-    return {
-        "triangle": validate_continuous(
-            1.0, ((-1.0, 0.0625), (0.0, 0.9375), (1.0, 0.0625))
-        ),
-        "flat": validate_continuous(1.0, ((-1.0, 0.5), (1.0, 0.5))),
-    }
+    return {name: make() for name, make in _CONTINUOUS.items()}
+
+
+def bundled(name: str) -> tuple[DiscreteTarget | ContinuousTarget, BuiltinCase | None] | None:
+    """The bundled target called name and its case (None for a continuous
+    target), building only that one; None when no bundled target has the name."""
+    if name in _CASES:
+        case = _CASES[name]()
+        return case.target, case
+    return (_CONTINUOUS[name](), None) if name in _CONTINUOUS else None

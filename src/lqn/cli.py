@@ -21,7 +21,7 @@ from .analysis import (
     estimate_match_probability,
     lemma1_bound,
 )
-from .cases import builtin_cases, continuous_builtins
+from .cases import bundled
 from .codes import MAX_POINTS, check_cap, rate, sample_generator, select_k
 from .continuous import build_continuous, continuous_divergence
 from .distributions import ContinuousTarget, DiscreteTarget, TypicalityParams
@@ -47,7 +47,7 @@ def _resolve_discrete(args):
     """Target, block length, bundled case, typicality parameters and point cap
     from --dist (reproduce's --case), --n, --epsilon-override and the cap; the
     target's p**n points are held to that cap."""
-    target, case = _target(args.dist, DiscreteTarget), builtin_cases().get(args.dist)
+    target, case = _target(args.dist, DiscreteTarget)
     if case is None and args.n is None:
         raise LqnError("--n is required for file targets")
     n = case.n if args.n is None else _at_least("--n", args.n, 2)
@@ -57,15 +57,14 @@ def _resolve_discrete(args):
 
 
 def _target(name, kind: type):
-    """The bundled target called name, else the one in the JSON file at that path;
-    it must be an instance of kind. A bundled name wins over a file of that name."""
-    bundled = {key: case.target for key, case in builtin_cases().items()}
-    bundled.update(continuous_builtins())
-    target = bundled[name] if name in bundled else io.load_distribution_file(name)
+    """The bundled target called name and its case (None unless a bundled discrete
+    case), else the one in the JSON file at that path and None; the target must be
+    an instance of kind. A bundled name wins over a file of that name."""
+    target, case = bundled(name) or (io.load_distribution_file(name), None)
     if not isinstance(target, kind):
         name = kind.__name__.removesuffix("Target").lower()
         raise LqnError(f"this command needs a {name} target")
-    return target
+    return target, case
 
 
 def _at_least(flag: str, value, low: int = 1) -> int:
@@ -258,7 +257,7 @@ def cmd_bounds(args) -> tuple[dict, str]:
 
 
 def cmd_continuous(args) -> tuple[dict, str]:
-    target = _target(args.dist, ContinuousTarget)
+    target, _ = _target(args.dist, ContinuousTarget)
     n = _at_least("--n", args.n, 2)
     k = None if args.k is None else _check_k(args.k, n)
     tp = _typ_params(n, args)

@@ -125,13 +125,15 @@ def ranks(stack, p: int) -> np.ndarray:
     p = check_products(p)
     a = mod_reduce(stack, p)
     free = np.ones(a.shape[:2], dtype=bool)
-    at = np.arange(len(a))
+    at, q = np.arange(len(a)), np.empty_like(a)
     for c in range(a.shape[2]):
         col = a[:, :, c] * free
         row = (col != 0).argmax(axis=1)
         pivot, prow = col[at, row], a[at, row]
         free[at, row] &= pivot == 0
         a *= np.maximum(pivot, 1)[:, None, None]
-        a -= (col * free)[:, :, None] * prow[:, None]
-        a %= p
+        # q holds the product, then a // p * p: a becomes a % p, with no % and no new
+        # temporary; |a // p * p| <= p(p-1) < 2**63 for every p check_products takes
+        a -= np.multiply((col * free)[:, :, None], prow[:, None], out=q)
+        a -= np.multiply(np.floor_divide(a, p, out=q), p, out=q)
     return (~free).sum(axis=1)

@@ -292,37 +292,42 @@ def _heavy_symbols(p, heavy):
 
 
 @pytest.mark.parametrize(
-    "probs, n, k, trials, seed",
+    "probs, n, k, trials, seed, head_entries",
     [
-        ([0.6, 0.25, 0.15], 6, 1, 60, 5),
-        ([0.6, 0.25, 0.15], 6, 2, 60, 17),
-        ([0.9, 0.05, 0.05], 8, 1, 60, 99),
-        (W3_PROBS, 6, 2, 60, 3),
-        ([0.7, 0.1, 0.1, 0.05, 0.05], 5, 2, 60, 8),
+        ([0.6, 0.25, 0.15], 6, 1, 60, 5, None),
+        ([0.6, 0.25, 0.15], 6, 2, 60, 17, None),
+        ([0.9, 0.05, 0.05], 8, 1, 60, 99, None),
+        (W3_PROBS, 6, 2, 60, 3, None),
+        ([0.7, 0.1, 0.1, 0.05, 0.05], 5, 2, 60, 8, None),
         # about 38 % of first draws are rank-deficient and redrawn
-        ([0.8, 0.2], 4, 3, 60, 0),
+        ([0.8, 0.2], 4, 3, 60, 0, None),
         # 2**16 messages exceed the block bound: one trial per block
-        ([13 / 15, 2 / 15], 30, 16, 7, 1),
+        ([13 / 15, 2 / 15], 30, 16, 7, 1, None),
         # 2**14 messages: blocks of two trials, and a last block of one
-        ([6 / 7, 1 / 7], 28, 14, 7, 0),
+        ([6 / 7, 1 / 7], 28, 14, 7, 0, None),
         # the bounds-mc workload: w3 at its theorem dimension, 239 failures
-        (W3_PROBS, 6, 3, 2000, 0),
+        (W3_PROBS, 6, 3, 2000, 0, None),
         # 2039**2 is the largest prime square under MAX_CODEWORDS: one trial per
         # block, each a full 2039 x 2039 table of message halves
-        (_heavy_symbols(2039, 11), 3, 2, 2, 0),
+        (_heavy_symbols(2039, 11), 3, 2, 2, 0, None),
         # 6**6 = 46,656 head entries: every coordinate is scored by the head lookup
-        ([0.7, 0.2, 0.1], 6, 2, 60, 4),
+        ([0.7, 0.2, 0.1], 6, 2, 60, 4, None),
         # 26**3 = 17,576 head entries: three coordinates in the head, three after it
-        (W4_PROBS, 6, 1, 60, 1),
+        (W4_PROBS, 6, 1, 60, 1, None),
+        # the digit tables take 7**3 + 7**4 and 2**15 + 2**14 entries: one entry less of
+        # budget scores the same trials through the int64 product and mod p step
+        (W3_PROBS, 6, 3, 2000, 0, 7**3 + 7**4 - 1),
+        ([6 / 7, 1 / 7], 28, 14, 7, 0, 2**15 + 2**14 - 1),
     ],
     # the 60-trial cases keep the ids pytest derives from (probs, n, k, seed)
     ids=[
         "probs0-6-1-5", "probs1-6-2-17", "probs2-8-1-99", "probs3-6-2-3", "probs4-5-2-8",
         "rank-deficient", "one-trial-blocks", "two-trial-blocks", "bounds-mc", "largest-square",
-        "head-is-every-coordinate", "w4-head-of-three",
+        "head-is-every-coordinate", "w4-head-of-three", "bounds-mc-products",
+        "two-trial-blocks-products",
     ],
 )
-def test_estimator_matches_per_trial_oracle(monkeypatch, probs, n, k, trials, seed):
+def test_estimator_matches_per_trial_oracle(monkeypatch, probs, n, k, trials, seed, head_entries):
     target = validate_discrete(probs, len(probs))
     caps, redraws = [], []
     check_cap = lqn.analysis.check_cap
@@ -337,6 +342,8 @@ def test_estimator_matches_per_trial_oracle(monkeypatch, probs, n, k, trials, se
 
     monkeypatch.setattr(lqn.analysis, "check_cap", counting_cap)
     monkeypatch.setattr(lqn.codes, "draw_full_rank", counting_draw)
+    if head_entries is not None:
+        monkeypatch.setattr(lqn.analysis, "_HEAD_ENTRIES", head_entries)
     est = estimate_match_probability(target, n, k, trials, seed)
     assert len(caps) == 1
     assert 0 < est.failures < trials
