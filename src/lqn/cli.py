@@ -97,15 +97,19 @@ def _run_keys(dist, seed, code) -> dict:
     return {"dist": dist, "seed": seed, "p": code.p, "n": code.n, "k": code.k}
 
 
-def _emit_bundle(dist, seed, target, criterion, tp, found, direction=None):
+def _emit_bundle(dist, seed, target, criterion, tp, max_points, found, direction=None):
     """The bundle of the winner in found, a _search result: its region is built
     from its pick and analyzed. Returns the report, marginals and region files,
     the report and the winning trial.
 
+    This is the one place a search winner becomes a region. A pick scored
+    without rows has its rows selected again here, under the same point cap.
     A search passes its direction: the provenance then also carries the
     direction and the trial count, and the trial rows go to trials.csv.
     """
     rows, (t, code, pick) = found
+    if pick[0] is None:
+        pick = choose(code, target, criterion, tp.epsilon, max_points)
     region = region_of(code, target, criterion, tp.epsilon, pick)
     report = analyze_region(region, target)
     search = {} if direction is None else {"direction": direction, "trials": len(rows)}
@@ -129,12 +133,15 @@ def _emit_bundle(dist, seed, target, criterion, tp, found, direction=None):
 def _search(target, n, k, criterion, tp, seed, trials, max_points, direction="minimize"):
     """Each trial's (trial, D_total_bits) row, scored without building a region,
     and the (trial, code, pick) of the first smallest (or largest) D; each D is,
-    bit for bit, what analyze_region reports for the region built from its pick."""
+    bit for bit, what analyze_region reports for the region built from its pick.
+
+    Trial 0's pick keeps its rows; a later trial is scored without them, so
+    under ML its pick's rows are None and _emit_bundle selects them again."""
     sign = 1.0 if direction == "minimize" else -1.0
     rows, best = [], None
     for t in range(trials):
         code = sample_generator((seed, t), k, n, target.p)
-        pick = choose(code, target, criterion, tp.epsilon, max_points)
+        pick = choose(code, target, criterion, tp.epsilon, max_points, with_rows=t == 0)
         rows.append((t, divergence_bits(pick[1])))
         if best is None or sign * rows[t][1] < sign * rows[best[0]][1]:
             best = (t, code, pick)
@@ -145,7 +152,9 @@ def cmd_analyze(args) -> tuple[dict, str]:
     target, n, case, tp, max_points = _resolve_discrete(args)
     k = _pick_k(args, case, target, n)
     found = _search(target, n, k, args.criterion, tp, args.seed, 1, max_points)
-    files, report, _ = _emit_bundle(args.dist, args.seed, target, args.criterion, tp, found)
+    files, report, _ = _emit_bundle(
+        args.dist, args.seed, target, args.criterion, tp, max_points, found
+    )
     return files, f"D_per_dim={report.D_per_dim!r} bits, wrote {{paths[report.json]}}"
 
 
@@ -157,7 +166,7 @@ def cmd_search(args) -> tuple[dict, str]:
         target, n, k, args.criterion, tp, args.seed, args.trials, max_points, args.direction
     )
     files, report, t = _emit_bundle(
-        args.dist, args.seed, target, args.criterion, tp, found, args.direction
+        args.dist, args.seed, target, args.criterion, tp, max_points, found, args.direction
     )
     return files, f"best trial {t}: D_total={report.D_total_bits!r} bits"
 
@@ -216,7 +225,9 @@ def cmd_reproduce(args) -> tuple[dict, str]:
     files, k = {}, case.default_k
     if len(case.k_values) > 1:
         files, k, _ = _emit_sweep(args.dist, seed, trials, rows, target, n)
-    bundle, report, t = _emit_bundle(args.dist, seed, target, "ml", tp, per_k[k], "minimize")
+    bundle, report, t = _emit_bundle(
+        args.dist, seed, target, "ml", tp, max_points, per_k[k], "minimize"
+    )
     message = f"{args.dist}: k={k}, best trial {t}, D_per_dim={report.D_per_dim!r} bits"
     return {**files, **bundle}, message
 

@@ -22,10 +22,13 @@ Selection runs over blocks of syndromes, each a (p^k, columns) array of sums,
 message by syndrome, of at most _BLOCK_POINTS entries where p^k allows: the
 syndrome index reads the free digits most significant first, so fixing the
 leading free digits and taking a span of the next one covers a contiguous run
-of columns. Within a block the typicality rule compares the sums with the
-interval typical_interval derives from typical, and both rules find each
-syndrome's first qualifying message with first_hit, a max-reduce over the
-message axis.
+of columns; within a block the columns hold the free digits last one slowest,
+and each block's outputs are put back in syndrome order. Under the ML rule a
+syndrome's sum is its column maximum. The typicality rule compares the sums
+with the interval typical_interval derives from typical. Each syndrome's first
+qualifying message is found with first_hit, a max-reduce over the message
+axis: always under typicality, whose sums are read at those rows, and under
+ML only when the rows are asked for.
 """
 
 from __future__ import annotations
@@ -96,18 +99,25 @@ def choose(
     criterion: str,
     epsilon: float,
     max_points: int | None,
-) -> tuple[np.ndarray, np.ndarray]:
+    *,
+    with_rows: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Each coset's chosen message row and its member's log2-likelihood, by syndrome.
 
     The one home of both rules: "ml" is maximum likelihood, "typicality" the
     typicality rule, anything else a ValueError; ties go to the first message,
-    i.e. the lexicographically first member.
+    i.e. the lexicographically first member. An ML sum is its column's maximum,
+    which is the first maximal member's sum bit for bit, so an ML row is found
+    only when with_rows is set, and is None otherwise. A typicality sum is read at its row,
+    so typicality returns its rows either way.
 
     The free digits before a lead digit are fixed per block, which takes up to
     span values of the lead digit and every value of the digits after it. The
     sums of a fixed prefix are shared by the blocks under it, and every column
     is still added from zeros in coordinate order, so the blocking changes no
-    bit of the result.
+    bit of the result. Within a block each new free digit is the slowest axis
+    of the columns, so an addition runs along the previous columns; a block's
+    rows and sums are put back in syndrome order by reversing those axes.
     """
     if criterion not in ("ml", "typicality"):
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -126,23 +136,26 @@ def choose(
     lead = next((f for f in range(m) if rows * p ** (m - f - 1) <= _BLOCK_POINTS), m - 1)
     width = p ** (m - lead - 1)
     span = min(p, max(1, _BLOCK_POINTS // (rows * width)))
+    # a block's columns, free digits m-1 (slowest) down to lead
+    digit_axes = (p,) * (m - lead - 1) + (-1,)
     # the last free digit writes each block's sums here; it and the outputs are
     # allocated before any block is scored
     block = np.empty(rows * span * width)
-    row_out = np.empty(p**m, dtype=np.int64)
+    row_out = np.empty(p**m, dtype=np.int64) if with_rows or criterion == "typicality" else None
     ll_out = np.empty(p**m)
 
     def extend(ll, f, values):
-        """ll's columns, each with free digit f taking every one of values in turn."""
+        """ll's columns once for each of values of free digit f, in turn."""
         terms = logp[(values + shift[:, f, None]) % p]
-        size = rows * ll.shape[1] * len(values)
-        out = (block if f == m - 1 else np.empty(size))[:size].reshape(rows, -1, len(values))
-        if len(values) < 5:
-            # numpy's inner loop runs over the last axis: for a short one, add per value
-            for v in range(len(values)):
-                np.add(ll, terms[:, v, None], out=out[:, :, v])
+        ncols = ll.shape[1]
+        size = rows * len(values) * ncols
+        out = (block if f == m - 1 else np.empty(size))[:size].reshape(rows, len(values), ncols)
+        if ncols < 5:
+            # numpy's inner loop runs over the last axis: for a short one, add per column
+            for c in range(ncols):
+                np.add(ll[:, c, None], terms, out=out[:, :, c])
         else:
-            np.add(ll[:, :, None], terms[:, None, :], out=out)
+            np.add(ll[:, None, :], terms[:, :, None], out=out)
         ll = out.reshape(rows, -1)
         for i in after[f]:
             ll += logp[msgs[:, i], None]
@@ -162,16 +175,19 @@ def choose(
             ll = extend(prefix[lead], lead, np.arange(a, min(a + span, p)))
             for f in range(lead + 1, m):
                 ll = extend(ll, f, np.arange(p))
-            if criterion == "ml":
-                row = first_hit(ll == column_max(ll))
-            else:
+            if criterion == "typicality":
                 # a coset with no typical member falls back to its first member
                 row = first_hit((ll >= lo) & (ll <= hi))
+                # a flat take: indexing by (row, column) pairs is slower
+                best = ll.take(row * ll.shape[1] + np.arange(ll.shape[1]))
+            else:
+                best = column_max(ll)
+                row = None if row_out is None else first_hit(ll == best)
             first = (index * p + a) * width
             cols = slice(first, first + ll.shape[1])
-            row_out[cols] = row
-            # a flat take: indexing by (row, column) pairs is slower
-            ll_out[cols] = ll.take(row * ll.shape[1] + np.arange(ll.shape[1]))
+            ll_out[cols] = best.reshape(digit_axes).T.ravel()
+            if row is not None:
+                row_out[cols] = row.reshape(digit_axes).T.ravel()
     return row_out, ll_out
 
 

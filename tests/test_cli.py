@@ -20,12 +20,15 @@ from hypothesis import strategies as st
 import lqn.cli
 import lqn.continuous
 import lqn.distributions
+import lqn.io
+import lqn.partition
 from lqn import (
     ContinuousReport,
     analyze_region,
     bin_density,
     build_continuous,
     build_ml_partition,
+    build_region,
     sample_generator,
     select_k,
     validate_region,
@@ -126,9 +129,12 @@ def test_search_direction(tmp_path):
 
 
 def test_search_rebuilds_only_the_first_best_trial(tmp_path, monkeypatch):
-    """Under a uniform target every trial ties at D = k*log2(p), so both
-    directions keep trial 0; each trial draws one code and selects its cell
-    once, and only the winner's pick is turned into a region."""
+    """Each trial draws one code and selects its cell once, and only the
+    winner's pick is turned into a region. Trial 0 keeps its rows; a later
+    trial is scored without them, so a later winner is selected once more,
+    with rows, just before its region is built. Under a uniform target every
+    trial ties at D = k*log2(p), so both directions keep trial 0 and select
+    nothing again; a sweep builds no region and selects nothing again."""
     calls = {"choose": [], "region_of": [], "sample_generator": []}
     for name, log in calls.items():
         def counted(*a, _fn=getattr(lqn.cli, name), _log=log, **kw):
@@ -157,9 +163,39 @@ def test_search_rebuilds_only_the_first_best_trial(tmp_path, monkeypatch):
         assert report["D_total_bits"] == pytest.approx(2 * np.log2(3))
     assert run(["sweep-rate", *base, "--k-range", "1:3", "--out-dir", tmp_path / "sw"]) == 0
     assert counts() == {"choose": 15, "region_of": 0, "sample_generator": 15}
-    # w3 sweeps k = 1..5 with 2 trials each, then builds the winner of the argmin k
+    # w3 sweeps k = 1..5 with 2 trials each, then builds the winner of the argmin k:
+    # trial 0 of k = 2 at the case's seed, which kept its rows
     assert run(["reproduce", "--case", "w3", "--trials", 2, "--out-dir", tmp_path / "w3"]) == 0
     assert counts() == {"choose": 10, "region_of": 1, "sample_generator": 10}
+    # at seed 3 trial 1 of k = 2 wins: it is selected again, and nothing else is
+    out = tmp_path / "w3-seed3"
+    assert run(["reproduce", "--case", "w3", "--trials", 2, "--seed", 3, "--out-dir", out]) == 0
+    prov = load_json(out / "report.json")["provenance"]
+    assert (prov["k"], prov["trial"]) == (2, 1)
+    again = calls["choose"][-1][0]
+    winner = sample_generator((3, 1), 2, prov["n"], prov["p"])
+    assert np.array_equal(again.generator, winner.generator)
+    assert counts() == {"choose": 11, "region_of": 1, "sample_generator": 10}
+
+
+def test_reselected_winner_keeps_the_point_cap(tmp_path, monkeypatch):
+    # 3**5 points are over a default cap of 100 and under --max-points 243, and
+    # trial 3 of 4 wins, so the winner is selected again: under the flag's cap
+    for module in (lqn.cli, lqn.partition):
+        monkeypatch.setattr(module, "MAX_POINTS", 100)
+    dist = tmp_path / "t.json"
+    dist.write_text(json.dumps({"type": "discrete", "p": 3, "probs": [0.6, 0.3, 0.1]}))
+    out = tmp_path / "out"
+    argv = ["search", "--dist", dist, "--n", 5, "--k", 2, "--trials", 4, "--seed", 0,
+            "--max-points", 243, "--out-dir", out]
+    assert run(argv) == 0
+    assert load_json(out / "report.json")["provenance"]["trial"] == 3
+    target = lqn.io.load_distribution_file(dist)
+    code = sample_generator((0, 3), 2, 5, 3)
+    region = build_region(code, target, "ml", max_points=243)
+    _, reps, good = load_region_csv(out / "region.csv")
+    assert np.array_equal(reps, region.reps)
+    assert np.array_equal(good, region.good_flags)
 
 
 def test_failed_write_removes_its_temp_file(tmp_path):

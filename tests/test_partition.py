@@ -251,6 +251,14 @@ def test_builders_match_brute_force_oracle(p, sizes, seed, uniform):
             # divergence of the region it would build, bit for bit
             pick = partition.choose(code, target, criterion, tp.epsilon, None)
             assert divergence_bits(pick[1]) == kl_region_vs_product(region, target)
+            # without rows, ML returns None for them and the same sums; typicality,
+            # whose sums are read at its rows, returns both unchanged
+            row, ll = partition.choose(code, target, criterion, tp.epsilon, None, with_rows=False)
+            if criterion == "ml":
+                assert row is None
+            else:
+                assert np.array_equal(row, pick[0])
+            assert np.array_equal(ll.view(np.uint64), pick[1].view(np.uint64))
             # the region search builds from the pick it kept is the builder's region
             kept = partition.region_of(code, target, criterion, tp.epsilon, pick)
             assert np.array_equal(kept.reps, reps)
@@ -258,7 +266,8 @@ def test_builders_match_brute_force_oracle(p, sizes, seed, uniform):
 
 
 def _picks_in_blocks(monkeypatch, code, target, criterion, budget):
-    """choose's (row, ll bits) with the block budget set, and each block's width in order."""
+    """choose's (row, ll bits) with the block budget set, and each block's width in
+    order; under ML, also the ll bits of a pass without rows, which finds no row."""
     widths = []
     first_hit = partition.first_hit
 
@@ -270,7 +279,13 @@ def _picks_in_blocks(monkeypatch, code, target, criterion, budget):
         mp.setattr(partition, "_BLOCK_POINTS", budget)
         mp.setattr(partition, "first_hit", recording)
         row, ll = partition.choose(code, target, criterion, 1 / code.n, None)
-    return (row.tolist(), ll.view(np.uint64).tolist()), widths
+        picks = (row.tolist(), ll.view(np.uint64).tolist())
+        if criterion == "ml":
+            found = len(widths)
+            _, ll = partition.choose(code, target, criterion, 1 / code.n, None, with_rows=False)
+            assert len(widths) == found
+            picks += (ll.view(np.uint64).tolist(),)
+    return picks, widths
 
 
 # (code, budget, the widths of the blocks under the first prefix, block count)
