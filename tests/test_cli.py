@@ -179,8 +179,8 @@ def test_search_rebuilds_only_the_first_best_trial(tmp_path, monkeypatch):
 
 
 def test_reselected_winner_keeps_the_point_cap(tmp_path, monkeypatch):
-    # 3**5 points are over a default cap of 100 and under --max-points 243, and
-    # trial 3 of 4 wins, so the winner is selected again: under the flag's cap
+    # 3**5 = 243 points are over a default cap of 100 and within --max-points 243,
+    # and trial 3 of 4 wins, so the winner is selected again: under the flag's cap
     for module in (lqn.cli, lqn.partition):
         monkeypatch.setattr(module, "MAX_POINTS", 100)
     dist = tmp_path / "t.json"
