@@ -97,21 +97,28 @@ def _run_keys(dist, seed, code) -> dict:
     return {"dist": dist, "seed": seed, "p": code.p, "n": code.n, "k": code.k}
 
 
-def _emit_bundle(dist, seed, target, criterion, tp, max_points, found, direction=None):
-    """The bundle of the winner in found, a _search result: its region is built
-    from its pick and analyzed. Returns the report, marginals and region files,
-    the report and the winning trial.
+def _winner_region(target, criterion, tp, max_points, code, pick):
+    """The region of a _search winner's code and pick, and its analysis.
 
     This is the one place a search winner becomes a region. A pick scored
     without rows has its rows selected again here, under the same point cap.
+    """
+    if pick[0] is None:
+        pick = choose(code, target, criterion, tp.epsilon, max_points)
+    region = region_of(code, target, criterion, tp.epsilon, pick)
+    return region, analyze_region(region, target)
+
+
+def _emit_bundle(dist, seed, target, criterion, tp, max_points, found, direction=None):
+    """The bundle of the winner in found, a _search result, whose region
+    _winner_region builds and analyzes. Returns the report, marginals and
+    region files, the report and the winning trial.
+
     A search passes its direction: the provenance then also carries the
     direction and the trial count, and the trial rows go to trials.csv.
     """
     rows, (t, code, pick) = found
-    if pick[0] is None:
-        pick = choose(code, target, criterion, tp.epsilon, max_points)
-    region = region_of(code, target, criterion, tp.epsilon, pick)
-    report = analyze_region(region, target)
+    region, report = _winner_region(target, criterion, tp, max_points, code, pick)
     search = {} if direction is None else {"direction": direction, "trials": len(rows)}
     provenance = {
         **_run_keys(dist, seed, code),
@@ -136,7 +143,7 @@ def _search(target, n, k, criterion, tp, seed, trials, max_points, direction="mi
     bit for bit, what analyze_region reports for the region built from its pick.
 
     Trial 0's pick keeps its rows; a later trial is scored without them, so
-    under ML its pick's rows are None and _emit_bundle selects them again."""
+    under ML its pick's rows are None and _winner_region selects them again."""
     sign = 1.0 if direction == "minimize" else -1.0
     rows, best = [], None
     for t in range(trials):
@@ -253,7 +260,7 @@ def cmd_bounds(args) -> tuple[dict, str]:
             target, n, k, args.trials, args.seed, epsilon=tp.epsilon
         ))
     _, (_, code, pick) = _search(target, n, k, "typicality", tp, args.seed, 1, max_points)
-    report = analyze_region(region_of(code, target, "typicality", tp.epsilon, pick), target)
+    _, report = _winner_region(target, "typicality", tp, max_points, code, pick)
     payload = {
         "kind": "bounds",
         **_run_keys(args.dist, args.seed, code),

@@ -32,6 +32,7 @@ from .distributions import (
     ContinuousTarget,
     DiscreteTarget,
     TypicalityParams,
+    row_sums,
     validate_discrete,
 )
 from .errors import NotPermissibleError
@@ -189,18 +190,17 @@ def continuous_divergence(cc: ContinuousConstruction) -> ContinuousReport:
     """Exact divergence of the uniform-on-cell density from the product target.
 
     D = -log2(delta**n * |cell|) - mean over reps of sum_i L(rep_i), with L
-    the per-bin average of log2(density), summed left to right. The reported
-    ceiling adds the within-bin spread penalty to the discrete divergence budget.
+    the per-bin average of log2(density); each rep's sum is added left to
+    right by distributions.row_sums, one gathered column at a time. The
+    reported ceiling adds the within-bin spread penalty to the discrete
+    divergence budget.
     """
     region, bins = cc.region, cc.bins
     n = region.code.n
-    per_rep = bins.mean_log2[region.reps[:, 0]]
-    for j in range(1, n):
-        per_rep += bins.mean_log2[region.reps[:, j]]
     d = (
         -n * math.log2(float(bins.delta))
         - math.log2(region.size)
-        - float(per_rep.sum()) / region.size
+        - float(row_sums(bins.mean_log2, region.reps).sum()) / region.size
     )
     bf, budget = eps_star(region, bins.binned)
     penalty = cc.spread_penalty_bits

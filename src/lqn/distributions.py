@@ -102,23 +102,34 @@ class TypicalityParams:
         return cls(n=n, epsilon=1.0 / n)
 
 
-def log2_likelihoods(vectors, target: DiscreteTarget) -> np.ndarray:
-    """Sum of per-symbol log2 masses along the last axis, added left to right.
+def row_sums(table: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """Sum of table[symbols[..., j]] along the last axis, added left to right.
 
-    Shared by the typicality test, the partition builders, and the divergence
-    report, so all of them agree bit for bit on boundary cases. The order is
-    fixed here because numpy's own sum pairs terms from eight of them on.
+    The one home of the order in which lqn adds per-symbol log masses: the
+    sum starts from zeros and adds j = 0, 1, ... in place, gathering one
+    column at a time, so it holds no (rows, n) table of terms. The order is
+    fixed here because numpy's own sum pairs terms from eight of them on;
+    log2_likelihoods, choose's leading pivots and continuous_divergence all
+    add through it, so they agree bit for bit.
+    """
+    total = np.zeros(symbols.shape[:-1])
+    for j in range(symbols.shape[-1]):
+        total += table[symbols[..., j]]
+    return total
+
+
+def log2_likelihoods(vectors, target: DiscreteTarget) -> np.ndarray:
+    """Sum of per-symbol log2 masses along the last axis, added by row_sums.
+
+    Used by the typicality test and the divergence report; row_sums is the one
+    home of the order, so they agree bit for bit with selection's sums.
     """
     v = np.asarray(vectors)
     # an int64 array within [0, p) indexes as it is; any other input is checked
     # and reduced mod p, so every symbol is read as its residue
     if v.dtype != np.int64 or v.size and (v.min() < 0 or v.max() >= target.p):
         v = mod_reduce(v, target.p)
-    terms = target.log2_probs[v]
-    total = np.zeros(terms.shape[:-1])
-    for j in range(terms.shape[-1]):
-        total = total + terms[..., j]
-    return total
+    return row_sums(target.log2_probs, v)
 
 
 def _surprisal_gap(log2_lik, n: int, target: DiscreteTarget):

@@ -14,9 +14,10 @@ parity check H. A codeword's first nonzero coordinate is the pivot of its
 message's first nonzero digit, so within a coset the members are in
 lexicographic order exactly when their pivot parts are, and the first
 qualifying message breaks ties as a pass over member vectors would. Each
-member's log2-likelihood is summed coordinate by coordinate in the order
-log2_likelihoods uses, so both agree bit for bit; region_of flags typicality
-from a pick's sums.
+member's log2-likelihood is summed coordinate by coordinate from zeros, in
+the order of distributions.row_sums (which adds the pivots before the first
+free coordinate), so it agrees bit for bit with log2_likelihoods, which adds
+through row_sums too; region_of flags typicality from a pick's sums.
 
 Selection runs over blocks of syndromes, each a (p^k, columns) array of sums,
 message by syndrome, of at most _BLOCK_POINTS entries where p^k allows: the
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import MAX_POINTS, LinearCode, check_cap, lex_grid
-from .distributions import DiscreteTarget, TypicalityParams, typical, typical_interval
+from .distributions import DiscreteTarget, TypicalityParams, row_sums, typical, typical_interval
 from .errors import DimensionMismatchError
 from .zplinalg import mod_reduce
 
@@ -163,9 +164,7 @@ def choose(
 
     # prefix[f]: the sums through the free digits before f of the current prefix;
     # the coordinates before the first free one are pivots 0, 1, ..., in order
-    prefix = [np.zeros((rows, 1))]
-    for j in range(free[0]):
-        prefix[0] += logp[msgs[:, j], None]
+    prefix = [row_sums(logp, msgs[:, : free[0]])[:, None]]
     for index, digits in enumerate(itertools.product(range(p), repeat=lead)):
         # the digits before the last nonzero one are the previous prefix's
         del prefix[max((f for f, d in enumerate(digits) if d), default=0) + 1 :]

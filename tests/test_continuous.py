@@ -427,6 +427,27 @@ def test_continuous_divergence_adds_each_rep_left_to_right(p, n, criterion):
     assert continuous_divergence(cc).D_total_bits == want
 
 
+@pytest.mark.parametrize("p, n", [(2, 12), (3, 8), (5, 6), (31, 3)])
+@pytest.mark.parametrize("name", ["triangle", "flat"])
+def test_continuous_divergence_matches_the_first_column_start(name, p, n):
+    # each rep's sum once started from its first column's term, and now starts
+    # from +0.0; the two differ only for a sum of -0.0 terms, and no mean_log2
+    # entry is -0.0, since each bin's integral is accumulated from +0.0
+    cc = build_continuous(continuous_builtins()[name], p, n, n // 2, 1)
+    mean_log2, reps = cc.bins.mean_log2, cc.region.reps
+    assert not np.signbit(mean_log2[mean_log2 == 0.0]).any()
+    per_rep = mean_log2[reps[:, 0]]
+    for j in range(1, n):
+        per_rep += mean_log2[reps[:, j]]
+    want = (
+        -n * math.log2(float(cc.bins.delta))
+        - math.log2(cc.region.size)
+        - float(per_rep.sum()) / cc.region.size
+    )
+    got = continuous_divergence(cc).D_total_bits
+    assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
 def test_refinement_shrinks_guaranteed_ceiling():
     # finer lattice, same target: the certified bound must not grow.
     # 50 seeded codebooks per modulus at the theorem-mode dimension

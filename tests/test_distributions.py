@@ -25,7 +25,7 @@ from lqn import (
     validate_discrete,
 )
 from lqn.cases import builtin_cases
-from lqn.distributions import _surprisal_gap, typical, typical_interval
+from lqn.distributions import _surprisal_gap, row_sums, typical, typical_interval
 
 # frozen reference entropies, computed independently at 50-digit precision
 H_532 = 1.4854752972273344
@@ -131,7 +131,7 @@ def test_log2_likelihoods_reads_every_symbol_mod_p(rows):
     assert log2_likelihoods(rows, t).tolist() == log2_likelihoods([[2, 0]], t).tolist()
 
 
-@pytest.mark.parametrize("n", range(1, 17))
+@pytest.mark.parametrize("n", range(0, 17))
 def test_log2_likelihoods_adds_left_to_right(n):
     # numpy's sum pairs terms from n = 8 on; the builders' sums must not
     rng = np.random.default_rng(n)
@@ -148,6 +148,20 @@ def test_log2_likelihoods_adds_left_to_right(n):
     expect = [fold(row) for row in rows.tolist()]
     assert log2_likelihoods(rows, t).tolist() == expect
     assert [float(log2_likelihoods(row, t)) for row in rows] == expect
+
+    # row_sums against the loop over a gathered table of terms that it replaced, bit
+    # for bit, on symbols of one, two and three axes; a table of negative, zero and
+    # positive entries, as mean_log2 can hold
+    table = rng.permutation(np.r_[-rng.exponential(4.0, 3), 0.0, -0.0, rng.exponential(4.0, 2)])
+    for shape in [(n,), (300, n), (4, 25, n)]:
+        symbols = rng.integers(0, len(table), size=shape)
+        terms = table[symbols]
+        total = np.zeros(terms.shape[:-1])
+        for j in range(n):
+            total = total + terms[..., j]
+        got = row_sums(table, symbols)
+        assert got.shape == shape[:-1]
+        np.testing.assert_array_equal(got.view(np.uint64), np.asarray(total).view(np.uint64))
 
 
 def test_is_typical_skewed_fixture():

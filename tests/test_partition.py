@@ -29,7 +29,7 @@ from lqn import (
     validate_discrete,
     validate_region,
 )
-from lqn.analysis import divergence_bits
+from lqn.analysis import analyze_region, divergence_bits
 
 C3 = make_code([[1, 1]], 3)
 P532 = validate_discrete([0.5, 0.3, 0.2], 3)
@@ -364,6 +364,24 @@ def test_region_of_memory_is_bounded_by_its_columns(criterion):
     finally:
         tracemalloc.stop()
     assert peak < region.reps.nbytes + 4 * 8 * p ** (n - k)
+
+
+@pytest.mark.parametrize("criterion", ["ml", "typicality"])
+def test_analyze_region_memory_is_bounded_by_its_columns(criterion):
+    # the divergence adds the 2**15 representatives' log2 masses one gathered column
+    # at a time: a (2**15, 22) float table of terms would take 22 columns, against 3
+    p, n, k = 2, 22, 7
+    code = sample_generator((22, 7), k, n, p)
+    target = validate_discrete([0.8, 0.2], p)
+    pick = partition.choose(code, target, criterion, 1 / n, None)
+    region = partition.region_of(code, target, criterion, 1 / n, pick)
+    tracemalloc.start()
+    try:
+        analyze_region(region, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * p ** (n - k)
 
 
 @settings(max_examples=40, deadline=None)
