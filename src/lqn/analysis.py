@@ -18,16 +18,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import MAX_CODEWORDS, check_cap, lex_grid, rate, seed_words, trial_draws
-from .distributions import DiscreteTarget, alpha, log2_likelihoods, typical_interval
+from .distributions import (
+    DiscreteTarget, TypicalityParams, alpha, log2_likelihoods, typical_interval
+)
 from .partition import FundamentalRegion
 
 BOUND_TOL = 1e-9
 
 
-def divergence_bits(rep_ll: np.ndarray) -> float:
-    """D(uniform on a cell || product target) in bits, from its reps' log2 P."""
+def divergence_bits(rep_ll: np.ndarray, offset: float = 0.0) -> float:
+    """D(uniform on a cell || product target) in bits, from its reps' log2 P.
+
+    The one home of the formula offset - log2|cell| - mean of rep_ll. offset
+    is -log2 of the volume each representative stands for: 0.0 on Z_p^n, and
+    -n.log2(delta) for the cell lifted by delta-cubes. At 0.0 it changes no
+    bit, since 0.0 - x is -x for the positive log2 of a cell of two or more.
+    """
     size = rep_ll.shape[0]
-    return float(-math.log2(size) - float(rep_ll.sum()) / size)
+    return float(offset - math.log2(size) - float(rep_ll.sum()) / size)
 
 
 def kl_region_vs_product(region: FundamentalRegion, target: DiscreteTarget) -> float:
@@ -193,9 +201,9 @@ def estimate_match_probability(
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
     p = target.p
-    eps = 1.0 / n if epsilon is None else float(epsilon)
+    eps = TypicalityParams.default(n).epsilon if epsilon is None else float(epsilon)
     bound = lemma1_bound(n, rate(k, n, p), p, target.entropy_bits, eps)
-    check_cap(p**k, None, MAX_CODEWORDS, "codewords")
+    check_cap(p, k, None, MAX_CODEWORDS, "codewords")
     seed_words((seed, 0))  # a bad seed is refused here, before any draw
     m = k // 2
     lead, tail = lex_grid(p, m), lex_grid(p, k - m)

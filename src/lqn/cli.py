@@ -52,7 +52,7 @@ def _resolve_discrete(args):
         raise LqnError("--n is required for file targets")
     n = case.n if args.n is None else _at_least("--n", args.n, 2)
     max_points = _max_points(args)
-    check_cap(target.p**n, max_points, MAX_POINTS, "points")
+    check_cap(target.p, n, max_points, MAX_POINTS, "points")
     return target, n, case, _typ_params(n, args), max_points
 
 

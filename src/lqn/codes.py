@@ -43,14 +43,19 @@ _PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 _PCG_MULT = _PCG_MULT_HI << 64 | _PCG_MULT_LO
 
 
-def check_cap(count: int, cap: int | None, default: int, what: str) -> None:
-    """Refuse to enumerate count items when it exceeds cap (default when None).
+def check_cap(p: int, e: int, cap: int | None, default: int, what: str) -> None:
+    """Refuse to enumerate p**e items when that count exceeds cap (default when None).
 
-    Counts of 2**63 or more are refused whatever the cap: coset_ids and choose's
-    message rows are int64. From 2**256 on, a count is shown as a power of two.
+    The one place a point or codeword count is formed: callers pass the base
+    and the exponent. Counts of 2**63 or more are refused whatever the cap:
+    coset_ids and choose's message rows are int64. The count is formed only
+    when e * p.bit_length() <= 256, so it has at most 78 digits; past that it
+    is over 2**128, and refused at once, shown as p**e. Bases -1, 0 and 1 have
+    every power in range.
     """
-    if count >= 1 << 63:
-        shown = count if count < 1 << 256 else f"over 2**{count.bit_length() - 1}"
+    count = p**e if abs(p) < 2 or e * p.bit_length() <= 256 else None
+    if count is None or count >= 1 << 63:
+        shown = f"{p}**{e}" if count is None else count
         raise TooLargeError(f"{shown} {what} overflow the int64 encodings")
     cap = default if cap is None else int(cap)
     if count > cap:
@@ -340,7 +345,7 @@ def lex_grid(p: int, m: int) -> np.ndarray:
 
 def enumerate_codewords(code: LinearCode) -> np.ndarray:
     """All p**k codewords, message vectors in lexicographic order, zero row first."""
-    check_cap(code.num_codewords, None, MAX_CODEWORDS, "codewords")
+    check_cap(code.p, code.k, None, MAX_CODEWORDS, "codewords")
     return lex_grid(code.p, code.k) @ code.generator % code.p
 
 
@@ -364,8 +369,8 @@ def select_k(p: int, n: int, target: DiscreteTarget, mode: str) -> int:
 
     "theorem": the smallest k whose rate clears log2(p) - H + 2/n, the
     threshold at which random codes make every typical point matchable.
-    "closest": the k in [1, n-1] whose rate is nearest log2(p) - H, ties
-    broken toward the smaller k.
+    "closest": the k in [1, n-1] whose rate(k, n, p) is nearest log2(p) - H,
+    ties broken toward the smaller k.
     """
     ensure_prime(p)
     logp = math.log2(p)
@@ -380,5 +385,5 @@ def select_k(p: int, n: int, target: DiscreteTarget, mode: str) -> int:
         return k
     if mode == "closest":
         goal = logp - h
-        return min(range(1, n), key=lambda k: (abs(k * logp / n - goal), k))
+        return min(range(1, n), key=lambda k: (abs(rate(k, n, p) - goal), k))
     raise ValueError(f"unknown mode {mode!r}")

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analysis import BOUND_TOL, eps_star
+from .analysis import BOUND_TOL, divergence_bits, eps_star
 from .codes import MAX_POINTS, LinearCode, check_cap, sample_generator, select_k
 from .distributions import (
     ContinuousTarget,
@@ -178,7 +178,7 @@ def build_continuous(
     """Bin the density once and build the discrete region for the binned pmf;
     k=None takes select_k's closest-rate k for the binned pmf."""
     # before binning, and before trial division tests a huge p for primality
-    check_cap(p**n, max_points, MAX_POINTS, "points")
+    check_cap(p, n, max_points, MAX_POINTS, "points")
     bins = bin_density(target, p)
     k = select_k(p, n, bins.binned, "closest") if k is None else k
     code = sample_generator(seed, k, n, p)
@@ -190,18 +190,15 @@ def continuous_divergence(cc: ContinuousConstruction) -> ContinuousReport:
     """Exact divergence of the uniform-on-cell density from the product target.
 
     D = -log2(delta**n * |cell|) - mean over reps of sum_i L(rep_i), with L
-    the per-bin average of log2(density); each rep's sum is added left to
-    right by distributions.row_sums, one gathered column at a time. The
-    reported ceiling adds the within-bin spread penalty to the discrete
-    divergence budget.
+    the per-bin average of log2(density): analysis.divergence_bits over the
+    reps' sums with the offset -n.log2(delta), the lifted cube's volume term.
+    Each rep's sum is added left to right by distributions.row_sums, one
+    gathered column at a time. The reported ceiling adds the within-bin
+    spread penalty to the discrete divergence budget.
     """
     region, bins = cc.region, cc.bins
     n = region.code.n
-    d = (
-        -n * math.log2(float(bins.delta))
-        - math.log2(region.size)
-        - float(row_sums(bins.mean_log2, region.reps).sum()) / region.size
-    )
+    d = divergence_bits(row_sums(bins.mean_log2, region.reps), -n * math.log2(float(bins.delta)))
     bf, budget = eps_star(region, bins.binned)
     penalty = cc.spread_penalty_bits
     bound = budget + penalty

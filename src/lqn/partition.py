@@ -123,7 +123,7 @@ def choose(
     if criterion not in ("ml", "typicality"):
         raise ValueError(f"unknown criterion {criterion!r}")
     p, n, m = code.p, code.n, code.n - code.k
-    check_cap(p**n, max_points, MAX_POINTS, "points")
+    check_cap(p, n, max_points, MAX_POINTS, "points")
     if target.p != p:
         raise ValueError("target modulus differs from code modulus")
     if criterion == "typicality":

@@ -38,6 +38,12 @@ from lqn.cli import main
 from lqn.io import load_json, load_marginals_csv, load_region_csv
 
 
+def _python_env() -> dict:
+    """os.environ with this checkout's lqn first on PYTHONPATH, for a subprocess."""
+    src = str(Path(lqn.cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def run(args):
     """main on args; no run, failed or not, may leave a temp file in its out-dir.
 
@@ -362,6 +368,28 @@ def test_huge_point_count_is_one_short_line(tmp_path, capsys, n):
     assert "overflow the int64 encodings" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--dist", "w1"],
+        ["continuous", "--dist", "triangle", "--p", 3],
+        ["bounds", "--dist", "w3", "--estimate"],
+    ],
+)
+def test_huge_n_is_refused_at_once(tmp_path, argv):
+    # p**(10**8) has tens of millions of digits: forming it to compare with the
+    # cap would take longer than the timeout
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "lqn.cli", *map(str, argv), "--n", "100000000", "--out-dir", out],
+        capture_output=True, text=True, env=_python_env(), timeout=30,
+    )
+    assert proc.returncode == 3, proc.stderr
+    line = r"error: \d+\*\*100000000 points overflow the int64 encodings\n"
+    assert re.fullmatch(line, proc.stdout)
+    assert not out.exists()
+
+
 W3_AT_4000 = ["--dist", "w3", "--n", 4000]
 
 
@@ -455,11 +483,9 @@ def test_no_command_loads_numpy_random(tmp_path):
         "    assert main(argv + ['--out-dir', f'{sys.argv[2]}/{i}']) == 0, argv\n"
         "print(sorted(name for name in sys.modules if name.startswith('numpy.random')))\n"
     )
-    src = str(Path(lqn.cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(argvs), str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_python_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"

@@ -27,7 +27,9 @@ from lqn import (
 from lqn.cases import builtin_cases, continuous_builtins
 from lqn.codes import (
     MAX_CODEWORDS,
+    MAX_POINTS,
     Stream,
+    check_cap,
     draw_full_rank,
     lex_grid,
     seed_words,
@@ -326,6 +328,31 @@ def test_lex_grid_is_itertools_product(p, m):
     assert grid.shape == (p**m, m)
     assert grid.flags.c_contiguous
     assert grid.tolist() == [list(v) for v in itertools.product(range(p), repeat=m)]
+
+
+@pytest.mark.parametrize(
+    "p, e, cap, what",
+    [
+        (37, 10**8, MAX_POINTS, "points"),
+        (2, 10**12, MAX_CODEWORDS, "codewords"),
+        # the first exponent at which 2**e is not formed: e * bit_length = 258
+        (2, 129, MAX_POINTS, "points"),
+    ],
+)
+def test_check_cap_refuses_a_huge_exponent_as_a_power(p, e, cap, what):
+    # p**e is never formed: at 37**(10**8) that alone takes many seconds
+    with pytest.raises(TooLargeError) as err:
+        check_cap(p, e, None, cap, what)
+    assert str(err.value) == f"{p}**{e} {what} overflow the int64 encodings"
+
+
+def test_check_cap_forms_a_count_of_at_most_256_bits():
+    # 2**128 (e * bit_length = 256) is formed and printed in full
+    with pytest.raises(TooLargeError, match=f"^{2**128} points overflow"):
+        check_cap(2, 128, None, MAX_POINTS, "points")
+    # bases 0 and 1 have every power in range, so a huge exponent passes
+    for p in (0, 1):
+        check_cap(p, 10**12, None, MAX_POINTS, "points")
 
 
 def test_enumerate_codewords_cap():

@@ -410,20 +410,31 @@ def test_continuous_report_fields_cohere():
     assert rep.bound_satisfied == (rep.D_per_dim <= rep.bound_per_dim + 1e-9)
 
 
-@pytest.mark.parametrize("p, n, criterion", [(3, 9, "typicality"), (5, 8, "ml")])
-def test_continuous_divergence_adds_each_rep_left_to_right(p, n, criterion):
+@pytest.mark.parametrize(
+    "p, n, criterion, seed",
+    [(3, 9, "typicality", 2), (3, 10, "typicality", 3), (5, 8, "ml", 0), (5, 8, "ml", 2)],
+    # an id names (p, n, criterion), and the seed only for a second build of a shape
+    ids=["3-9-typicality", "3-10-typicality", "5-8-ml", "5-8-ml-2"],
+)
+def test_continuous_divergence_adds_each_rep_left_to_right(p, n, criterion, seed):
     # from n = 8 on numpy's pairwise sum and a left-to-right one can differ in
-    # the last bit; both builds here are ones where they do
-    cc = build_continuous(TRIANGLE, p, n, n // 2, 1, criterion=criterion)
+    # the last bit of a rep's sum, and then, at these seeds, in D itself
+    cc = build_continuous(TRIANGLE, p, n, n // 2, seed, criterion=criterion)
     terms = cc.bins.mean_log2[cc.region.reps]
     per_rep = np.zeros(cc.region.size)
     for j in range(n):
         per_rep = per_rep + terms[:, j]
-    want = (
-        -n * math.log2(float(cc.bins.delta))
-        - math.log2(cc.region.size)
-        - float(per_rep.sum()) / cc.region.size
-    )
+
+    def d_of(rep_sums):
+        return (
+            -n * math.log2(float(cc.bins.delta))
+            - math.log2(cc.region.size)
+            - float(rep_sums.sum()) / cc.region.size
+        )
+
+    want = d_of(per_rep)
+    # so this build tells the two sums apart
+    assert d_of(np.add.reduce(terms, axis=-1)) != want
     assert continuous_divergence(cc).D_total_bits == want
 
 
