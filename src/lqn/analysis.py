@@ -67,16 +67,14 @@ def _marginal_kl(marg: np.ndarray, target: DiscreteTarget) -> float:
     return total
 
 
-def eps_star(region: FundamentalRegion, target: DiscreteTarget) -> tuple[float, float]:
+def eps_star(region: FundamentalRegion, target: DiscreteTarget, a=None) -> tuple[float, float]:
     """Bad-coset fraction and the divergence budget it implies.
 
-    Budget per dimension: 3*eps + bad_fraction * (alpha - eps). Callers hold
+    Budget per dimension: 3*eps + bad_fraction * (alpha - eps), with alpha the
+    target's, which a caller that already holds it passes as a. Callers hold
     their exact per-dimension divergence to it with a BOUND_TOL slack.
     """
-    return _budget(region, alpha(target))
-
-
-def _budget(region: FundamentalRegion, a: float) -> tuple[float, float]:
+    a = alpha(target) if a is None else a
     bf = 1.0 - float(region.good_flags.mean())
     return bf, 3.0 * region.epsilon + bf * (a - region.epsilon)
 
@@ -100,7 +98,7 @@ def analyze_region(region: FundamentalRegion, target: DiscreteTarget) -> Analysi
     d = kl_region_vs_product(region, target)
     per_dim = d / region.code.n
     marg, a = marginals(region), alpha(target)
-    bf, budget = _budget(region, a)
+    bf, budget = eps_star(region, target, a)
     return AnalysisReport(
         D_total_bits=d,
         D_per_dim=per_dim,
@@ -210,7 +208,7 @@ def estimate_match_probability(
     if p ** (2 * m + 1) + p ** (2 * (k - m)) <= _HEAD_ENTRIES:
         # row c of lt: the lead digits of a column whose generator digits, then shift, read c
         cols = lex_grid(p, m + 1)
-        lt, tt = (cols[:, :m] @ lead.T + cols[:, m:]) % p, lex_grid(p, k - m) @ tail.T % p
+        lt, tt = (cols[:, :m] @ lead.T + cols[:, m:]) % p, tail @ tail.T % p
 
         def columns(drawn):
             # each trial's lead and tail column codes, (trials, 2, n), by Horner's rule

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .analysis import BOUND_TOL, divergence_bits, eps_star
-from .codes import MAX_POINTS, LinearCode, check_cap, sample_generator, select_k
+from .codes import MAX_POINTS, LinearCode, _checked_modulus, check_cap, sample_generator, select_k
 from .distributions import (
     ContinuousTarget,
     DiscreteTarget,
@@ -35,7 +35,7 @@ from .distributions import (
     row_sums,
     validate_discrete,
 )
-from .errors import NotPermissibleError
+from .errors import NotPermissibleError, TooLargeError
 from .partition import FundamentalRegion, build_region
 from .zplinalg import ensure_prime
 
@@ -177,7 +177,14 @@ def build_continuous(
 ) -> ContinuousConstruction:
     """Bin the density once and build the discrete region for the binned pmf;
     k=None takes select_k's closest-rate k for the binned pmf."""
-    # before binning, and before trial division tests a huge p for primality
+    # all before binning: a modulus within the int64 products bound is tested for
+    # primality, which is then quick, before the point cap; one past it is refused
+    # as a point count when the cap refuses it too
+    try:
+        p = _checked_modulus(p, n)
+    except TooLargeError:
+        check_cap(p, n, max_points, MAX_POINTS, "points")
+        raise
     check_cap(p, n, max_points, MAX_POINTS, "points")
     bins = bin_density(target, p)
     k = select_k(p, n, bins.binned, "closest") if k is None else k

@@ -8,16 +8,21 @@ whenever there is one makes the result canonical and never increases the
 count of bad cosets. The maximum-likelihood rule takes the member with the
 largest product mass under the target, ties broken lexicographically.
 
-With the code in systematic form, the member of coset s with pivot part u
-has free part s + u.A, where A = (-H[:, pivots])^T mod p comes from the
-parity check H. A codeword's first nonzero coordinate is the pivot of its
+Every member comes from one member table, _members(code): row j holds
+coordinate j of each message's coset-0 member, the systematic codeword u.R
+mod p, whose pivot part is the message u and whose free part is its shift
+u.A, where A = (-H[:, pivots])^T mod p comes from the parity check H. The
+member of coset s with message u is that column plus s at the free
+coordinates. A codeword's first nonzero coordinate is the pivot of its
 message's first nonzero digit, so within a coset the members are in
-lexicographic order exactly when their pivot parts are, and the first
+lexicographic order exactly when their messages are, and the first
 qualifying message breaks ties as a pass over member vectors would. Each
 member's log2-likelihood is summed coordinate by coordinate from zeros, in
 the order of distributions.row_sums (which adds the pivots before the first
 free coordinate), so it agrees bit for bit with log2_likelihoods, which adds
-through row_sums too; region_of flags typicality from a pick's sums.
+through row_sums too; region_of gathers the picked members' columns of the
+table as column-major representatives and flags typicality from a pick's
+sums.
 
 Selection runs over blocks of syndromes, each a (p^k, columns) array of sums,
 message by syndrome, of at most _BLOCK_POINTS entries where p^k allows: the
@@ -34,12 +39,13 @@ ML only when the rows are asked for.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import MAX_POINTS, LinearCode, check_cap, lex_grid
+from .codes import MAX_POINTS, LinearCode, check_cap
 from .distributions import DiscreteTarget, TypicalityParams, row_sums, typical, typical_interval
 from .errors import DimensionMismatchError
 from .zplinalg import mod_reduce
@@ -49,6 +55,8 @@ from .zplinalg import mod_reduce
 _BLOCK_POINTS = 1 << 18
 # Entries per row that column_max reduces over axis 0.
 _FOLD_WIDTH = 1 << 10
+# Entries of the member table that _members forms at once, in whole rows.
+_MEMBER_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,11 +95,30 @@ def coset_ids(code: LinearCode, ys) -> np.ndarray:
     return s @ pows
 
 
-def _members(code: LinearCode) -> tuple[np.ndarray, np.ndarray]:
-    """Every message u, in lexicographic order, and its free-part shift u.A mod p."""
-    p = code.p
-    msgs = lex_grid(p, code.k)
-    return msgs, msgs @ (-code.parity[:, list(code.pivot_cols)].T % p) % p
+def _members(code: LinearCode) -> np.ndarray:
+    """The (n, p**k) table whose row j is coordinate j of each message's coset-0 member.
+
+    Messages are in lexicographic order, and message u's member is the
+    systematic codeword u.R mod p: its digit i at pivot i, and its shift u.A
+    mod p at each free coordinate. Row j is the form R[:, j] read over every
+    message: an outer sum over the digits, last digit first, each earlier digit
+    the slower axis, so every addition runs along the digits already summed.
+    Its entries stay below k.(p-1)**2, which the code's modulus keeps in int64,
+    and are reduced into the table. Rows are formed _MEMBER_ENTRIES entries at
+    a time, or one at a time when a row is longer, so beside the table it holds
+    a row or two, and a small table takes a few whole-array steps.
+    """
+    p, k, n = code.p, code.k, code.n
+    form = np.eye(n, dtype=np.int64)[:, list(code.pivot_cols)]
+    form[list(code.nonpivot_cols)] = -code.parity[:, list(code.pivot_cols)] % p
+    table = np.empty((n, p**k), dtype=np.int64)
+    step = max(1, _MEMBER_ENTRIES // p**k)
+    # v holds each row's sums over the later digits, t its terms for one digit: the slower axis
+    grow = lambda v, t: (t[..., None] + v[:, None]).reshape(len(t), -1)
+    for first in range(0, n, step):
+        terms = np.multiply.outer(form[first : first + step, ::-1].T, np.arange(p))
+        np.remainder(functools.reduce(grow, terms), p, out=table[first : first + step])
+    return table
 
 
 def choose(
@@ -118,7 +145,8 @@ def choose(
     is still added from zeros in coordinate order, so the blocking changes no
     bit of the result. Within a block each new free digit is the slowest axis
     of the columns, so an addition runs along the previous columns; a block's
-    rows and sums are put back in syndrome order by reversing those axes.
+    rows and sums are written into syndrome order through a view of the
+    outputs with those axes reversed, in one copy.
     """
     if criterion not in ("ml", "typicality"):
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -128,12 +156,12 @@ def choose(
         raise ValueError("target modulus differs from code modulus")
     if criterion == "typicality":
         lo, hi = typical_interval(n, target, epsilon)
-    msgs, shift = _members(code)
+    table = _members(code)
     logp = target.log2_probs
     rows = p**code.k
-    piv, free = code.pivot_cols, code.nonpivot_cols
+    free = code.nonpivot_cols
     # the pivot coordinates after each free coordinate, up to the next free one
-    after = [[piv.index(j) for j in range(f + 1, g)] for f, g in zip(free, free[1:] + (n,))]
+    after = [range(f + 1, g) for f, g in zip(free, free[1:] + (n,))]
     lead = next((f for f in range(m) if rows * p ** (m - f - 1) <= _BLOCK_POINTS), m - 1)
     width = p ** (m - lead - 1)
     span = min(p, max(1, _BLOCK_POINTS // (rows * width)))
@@ -147,7 +175,7 @@ def choose(
 
     def extend(ll, f, values):
         """ll's columns once for each of values of free digit f, in turn."""
-        terms = logp[(values + shift[:, f, None]) % p]
+        terms = logp[(values + table[free[f], :, None]) % p]
         ncols = ll.shape[1]
         size = rows * len(values) * ncols
         out = (block if f == m - 1 else np.empty(size))[:size].reshape(rows, len(values), ncols)
@@ -158,13 +186,13 @@ def choose(
         else:
             np.add(ll[:, None, :], terms[:, :, None], out=out)
         ll = out.reshape(rows, -1)
-        for i in after[f]:
-            ll += logp[msgs[:, i], None]
+        for j in after[f]:
+            ll += logp[table[j], None]
         return ll
 
     # prefix[f]: the sums through the free digits before f of the current prefix;
     # the coordinates before the first free one are pivots 0, 1, ..., in order
-    prefix = [row_sums(logp, msgs[:, : free[0]])[:, None]]
+    prefix = [row_sums(logp, table[: free[0]].T)[:, None]]
     for index, digits in enumerate(itertools.product(range(p), repeat=lead)):
         # the digits before the last nonzero one are the previous prefix's
         del prefix[max((f for f, d in enumerate(digits) if d), default=0) + 1 :]
@@ -184,9 +212,9 @@ def choose(
                 row = None if row_out is None else first_hit(ll == best)
             first = (index * p + a) * width
             cols = slice(first, first + ll.shape[1])
-            ll_out[cols] = best.reshape(digit_axes).T.ravel()
+            ll_out[cols].reshape(digit_axes[::-1]).T[...] = best.reshape(digit_axes)
             if row is not None:
-                row_out[cols] = row.reshape(digit_axes).T.ravel()
+                row_out[cols].reshape(digit_axes[::-1]).T[...] = row.reshape(digit_axes)
     return row_out, ll_out
 
 
@@ -226,25 +254,22 @@ def region_of(
 ) -> FundamentalRegion:
     """The region of the members choose picked, flagged from the sums it returned.
 
-    Representatives are filled one column at a time: a pivot column from the
-    picked messages' digit, a free column from the syndrome's digit plus the
-    picked shift, wrapped mod p through a 2p-entry table. Beside the
-    representatives it holds a column or two of p**(n-k) entries, never a
-    (p**(n-k), n-k) table.
+    The picked messages' columns of the member table, transposed, are the
+    coset-0 members as a column-major (p**(n-k), n) array; each free column
+    then adds its syndrome digit, wrapped mod p through a 2p-entry table.
+    Beside the table and the representatives it holds a column of p**(n-k)
+    entries, never a (p**(n-k), n-k) table.
     """
     row, ll = pick
     p = code.p
     good = typical(ll, code.n, target, epsilon)
-    msgs, shift = _members(code)
     wrap = np.arange(2 * p) % p
-    reps = np.empty((code.num_cosets, code.n), dtype=np.int64)
-    for i, j in enumerate(code.pivot_cols):
-        reps[:, j] = msgs[:, i].take(row)
+    reps = _members(code).take(row, axis=1).T
     for f, j in enumerate(code.nonpivot_cols):
         # free digit f of the syndrome index runs through 0..p-1, each held for p**(n-k-f-1) rows
-        col = shift[:, f].take(row).reshape(p**f, p, -1)
+        col = reps[:, j].reshape(p**f, p, -1)  # a view: reps is column-major
         col += np.arange(p)[:, None]
-        reps[:, j] = wrap[col.ravel()]
+        col[...] = wrap[col]
     reps.setflags(write=False)
     good.setflags(write=False)
     return FundamentalRegion(code, reps, good, criterion, epsilon)

@@ -600,6 +600,18 @@ def test_capped_continuous_folds_nothing(tmp_path, capsys, monkeypatch, p):
     assert capsys.readouterr().out.startswith(f"error: {p**2} points ")
 
 
+@pytest.mark.parametrize("n", [3, 64])
+@pytest.mark.parametrize("p", [-2, 0, 1, 4])
+def test_continuous_refuses_a_bad_modulus_whatever_n(tmp_path, capsys, p, n):
+    # p**64 is over the int64 encodings for every p here but 0 and 1: the modulus
+    # is still refused as a modulus, before the point cap
+    out = tmp_path / "out"
+    argv = ["continuous", "--dist", "triangle", "--p", p, "--n", n, "--out-dir", out]
+    assert run(argv) == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == f"error: modulus must be prime, got {p}\n"
+
+
 def test_huge_modulus_file_is_refused_before_primality(tmp_path, capsys, monkeypatch):
     # trial division on this 61-bit prime would run for minutes; the bundled
     # cases still validate their own small moduli

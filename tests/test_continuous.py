@@ -420,7 +420,7 @@ def test_continuous_divergence_adds_each_rep_left_to_right(p, n, criterion, seed
     # from n = 8 on numpy's pairwise sum and a left-to-right one can differ in
     # the last bit of a rep's sum, and then, at these seeds, in D itself
     cc = build_continuous(TRIANGLE, p, n, n // 2, seed, criterion=criterion)
-    terms = cc.bins.mean_log2[cc.region.reps]
+    terms = cc.bins.mean_log2[np.ascontiguousarray(cc.region.reps)]
     per_rep = np.zeros(cc.region.size)
     for j in range(n):
         per_rep = per_rep + terms[:, j]

@@ -367,6 +367,24 @@ def test_region_of_memory_is_bounded_by_its_columns(criterion):
 
 
 @pytest.mark.parametrize("criterion", ["ml", "typicality"])
+def test_region_of_holds_one_member_table(criterion):
+    # 2**16 messages of 22 coordinates: the member table is 22 rows of 2**16, and
+    # a message grid beside a shift table and its product would take 28
+    p, n, k = 2, 22, 16
+    code = sample_generator((22, 16), k, n, p)
+    target = validate_discrete([0.9, 0.1], p)
+    pick = partition.choose(code, target, criterion, 1 / n, None)
+    tracemalloc.start()
+    try:
+        region = partition.region_of(code, target, criterion, 1 / n, pick)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < region.reps.nbytes + 8 * (n + 4) * p**k
+    assert region.reps.flags.f_contiguous
+
+
+@pytest.mark.parametrize("criterion", ["ml", "typicality"])
 def test_analyze_region_memory_is_bounded_by_its_columns(criterion):
     # the divergence adds the 2**15 representatives' log2 masses one gathered column
     # at a time: a (2**15, 22) float table of terms would take 22 columns, against 3
