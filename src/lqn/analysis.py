@@ -67,14 +67,16 @@ def _marginal_kl(marg: np.ndarray, target: DiscreteTarget) -> float:
     return total
 
 
-def eps_star(region: FundamentalRegion, target: DiscreteTarget, a=None) -> tuple[float, float]:
+def eps_star(region: FundamentalRegion, target: DiscreteTarget) -> tuple[float, float]:
     """Bad-coset fraction and the divergence budget it implies.
 
-    Budget per dimension: 3*eps + bad_fraction * (alpha - eps), with alpha the
-    target's, which a caller that already holds it passes as a. Callers hold
+    Budget per dimension: 3*eps + bad_fraction * (alpha - eps). Callers hold
     their exact per-dimension divergence to it with a BOUND_TOL slack.
     """
-    a = alpha(target) if a is None else a
+    return _budget(region, alpha(target))
+
+
+def _budget(region: FundamentalRegion, a: float) -> tuple[float, float]:
     bf = 1.0 - float(region.good_flags.mean())
     return bf, 3.0 * region.epsilon + bf * (a - region.epsilon)
 
@@ -98,7 +100,7 @@ def analyze_region(region: FundamentalRegion, target: DiscreteTarget) -> Analysi
     d = kl_region_vs_product(region, target)
     per_dim = d / region.code.n
     marg, a = marginals(region), alpha(target)
-    bf, budget = eps_star(region, target, a)
+    bf, budget = _budget(region, a)
     return AnalysisReport(
         D_total_bits=d,
         D_per_dim=per_dim,

@@ -19,6 +19,7 @@ only the final logarithmic integrals are evaluated in floats.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from .distributions import (
 )
 from .errors import NotPermissibleError, TooLargeError
 from .partition import FundamentalRegion, build_region
-from .zplinalg import ensure_prime
+from .zplinalg import check_products, ensure_prime
 
 
 def _piece_log_integral(c0: float, c1: float, width: float) -> float:
@@ -177,15 +178,13 @@ def build_continuous(
 ) -> ContinuousConstruction:
     """Bin the density once and build the discrete region for the binned pmf;
     k=None takes select_k's closest-rate k for the binned pmf."""
-    # all before binning: a modulus within the int64 products bound is tested for
-    # primality, which is then quick, before the point cap; one past it is refused
-    # as a point count when the cap refuses it too
-    try:
+    # all before binning: a modulus within the int64 products bound, where trial
+    # division is quick, is tested for primality before the point cap; one past
+    # the bound is held to the cap first, then refused by the bound
+    with contextlib.suppress(TooLargeError):
         p = _checked_modulus(p, n)
-    except TooLargeError:
-        check_cap(p, n, max_points, MAX_POINTS, "points")
-        raise
     check_cap(p, n, max_points, MAX_POINTS, "points")
+    p = check_products(p, n)
     bins = bin_density(target, p)
     k = select_k(p, n, bins.binned, "closest") if k is None else k
     code = sample_generator(seed, k, n, p)

@@ -39,7 +39,6 @@ ML only when the rows are asked for.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -55,8 +54,6 @@ from .zplinalg import mod_reduce
 _BLOCK_POINTS = 1 << 18
 # Entries per row that column_max reduces over axis 0.
 _FOLD_WIDTH = 1 << 10
-# Entries of the member table that _members forms at once, in whole rows.
-_MEMBER_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,25 +96,18 @@ def _members(code: LinearCode) -> np.ndarray:
     """The (n, p**k) table whose row j is coordinate j of each message's coset-0 member.
 
     Messages are in lexicographic order, and message u's member is the
-    systematic codeword u.R mod p: its digit i at pivot i, and its shift u.A
-    mod p at each free coordinate. Row j is the form R[:, j] read over every
-    message: an outer sum over the digits, last digit first, each earlier digit
-    the slower axis, so every addition runs along the digits already summed.
-    Its entries stay below k.(p-1)**2, which the code's modulus keeps in int64,
-    and are reduced into the table. Rows are formed _MEMBER_ENTRIES entries at
-    a time, or one at a time when a row is longer, so beside the table it holds
-    a row or two, and a small table takes a few whole-array steps.
+    systematic codeword u.R mod p: digit i of u at pivot i, each earlier digit
+    the slower axis, and the shift u.A mod p at each free coordinate, summed
+    from the pivot rows already in the table. Those sums stay below
+    k.(p-1)**2, which the code's modulus keeps in int64. Beside the table it
+    holds a row or two.
     """
-    p, k, n = code.p, code.k, code.n
-    form = np.eye(n, dtype=np.int64)[:, list(code.pivot_cols)]
-    form[list(code.nonpivot_cols)] = -code.parity[:, list(code.pivot_cols)] % p
-    table = np.empty((n, p**k), dtype=np.int64)
-    step = max(1, _MEMBER_ENTRIES // p**k)
-    # v holds each row's sums over the later digits, t its terms for one digit: the slower axis
-    grow = lambda v, t: (t[..., None] + v[:, None]).reshape(len(t), -1)
-    for first in range(0, n, step):
-        terms = np.multiply.outer(form[first : first + step, ::-1].T, np.arange(p))
-        np.remainder(functools.reduce(grow, terms), p, out=table[first : first + step])
+    p, k, piv = code.p, code.k, code.pivot_cols
+    table = np.empty((code.n, p**k), dtype=np.int64)
+    for i, j in enumerate(piv):
+        table[j].reshape(p**i, p, -1)[...] = np.arange(p)[:, None]
+    for a, j in zip(-code.parity[:, list(piv)] % p, code.nonpivot_cols):
+        table[j] = sum(c * table[i] for c, i in zip(a, piv) if c) % p
     return table
 
 

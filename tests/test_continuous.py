@@ -9,7 +9,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import lqn.codes
 import lqn.continuous
+import lqn.distributions
 from lqn import (
     ContinuousTarget,
     DimensionMismatchError,
@@ -351,6 +353,32 @@ def test_build_continuous_checks_point_cap_before_folding(monkeypatch, p):
     monkeypatch.setattr(lqn.continuous, "ensure_prime", refuse)
     with pytest.raises(TooLargeError):
         build_continuous(TRIANGLE, p, 2, 1, 0)
+
+
+def _no_trial_division(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("binned, or tested primality past the products bound")
+
+    monkeypatch.setattr(lqn.continuous, "bin_density", refuse)
+    for module in (lqn.codes, lqn.continuous, lqn.distributions):
+        monkeypatch.setattr(module, "ensure_prime", refuse)
+
+
+def test_build_continuous_holds_a_modulus_past_the_products_bound_to_the_cap(monkeypatch):
+    # 2 * (p - 1)**2 >= 2**63: the point count is refused, and p is never trial-divided
+    p = 2305843009213693951
+    _no_trial_division(monkeypatch)
+    with pytest.raises(TooLargeError, match=f"^{p**2} points overflow"):
+        build_continuous(TRIANGLE, p, 2, 1, 0)
+
+
+def test_build_continuous_refuses_past_the_products_bound_under_a_huge_cap(monkeypatch):
+    # p**2 < 2**63 passes a cap of p**2, but 2 * (p - 1)**2 >= 2**63 does not fit
+    # the int64 dot products: refused before binning and before trial division
+    p = 3037000493
+    _no_trial_division(monkeypatch)
+    with pytest.raises(TooLargeError, match=f"^modulus {p} at length 2 overflows"):
+        build_continuous(TRIANGLE, p, 2, 1, 0, max_points=p**2)
 
 
 def test_build_continuous_rejects_block_length_mismatch():
