@@ -85,11 +85,15 @@ def coset_id(code: LinearCode, y) -> int:
 
 
 def coset_ids(code: LinearCode, ys) -> np.ndarray:
-    """Vectorized coset_id over rows."""
-    s = mod_reduce(ys, code.p) @ code.parity.T % code.p
+    """Vectorized coset_id over rows.
+
+    The indices are int64, so a code with p**(n-k) >= 2**63 cosets is refused
+    with TooLargeError; no other cap applies.
+    """
     m = code.n - code.k
+    check_cap(code.p, m, None, 1 << 63, "cosets")
     pows = code.p ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    return s @ pows
+    return mod_reduce(ys, code.p) @ code.parity.T % code.p @ pows
 
 
 def _members(code: LinearCode) -> np.ndarray:
@@ -300,14 +304,19 @@ class QuantizationResult:
 def quantize(region: FundamentalRegion, y) -> QuantizationResult:
     """Split an integer vector as lattice point plus in-cell remainder.
 
-    Entries must be integers within int64's range, as mod_reduce takes them.
+    Entries must be integers within int64's range, as mod_reduce takes them,
+    and so must the lattice point's: a vector whose point y - rep would fall
+    below int64's range is refused with ValueError too.
     """
     residue = mod_reduce(y, region.code.p)
     if residue.ndim != 1 or residue.size != region.code.n:
         raise ValueError(f"expected a length-{region.code.n} vector")
     rep = region.reps[coset_id(region.code, residue)]
     # mod_reduce accepted y, so its entries are integers that int64 holds exactly
-    return QuantizationResult(np.asarray(y, dtype=np.int64) - rep, rep.copy())
+    y = np.asarray(y, dtype=np.int64)
+    if (y < rep + np.iinfo(np.int64).min).any():
+        raise ValueError(f"the lattice point of {y.tolist()} leaves int64")
+    return QuantizationResult(y - rep, rep.copy())
 
 
 @dataclass(frozen=True)

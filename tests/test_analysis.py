@@ -30,7 +30,7 @@ from lqn import (
     validate_discrete,
 )
 from lqn.cases import builtin_cases
-from lqn.codes import draw_full_rank
+from lqn.codes import draw_full_rank, lex_grid
 from lqn.distributions import typical
 from lqn.zplinalg import rref
 
@@ -354,6 +354,49 @@ def test_estimator_matches_per_trial_oracle(monkeypatch, probs, n, k, trials, se
     assert len(redraws) == sum(
         _first_draw_is_deficient(seed, t, k, n, p) for t in range(trials)
     )
+
+
+P7 = [0.4, 0.2, 0.15, 0.1, 0.07, 0.05, 0.03]
+
+
+@pytest.mark.parametrize("products", [False, True], ids=["digit-tables", "products"])
+@pytest.mark.parametrize(
+    "probs, n, k, bad",
+    [
+        # no vector of Z_2^4 is typical, so all 4 cosets are bad
+        ([0.9, 0.1], 4, 2, 4),
+        # 1 bad coset of 343
+        (P7, 5, 2, 1),
+        ([0.8, 0.2], 12, 7, 7),
+        ([0.5, 0.3, 0.2], 8, 2, 13),
+        (W4_PROBS, 4, 1, 420),
+    ],
+    ids=["2-all-bad", "7-few-bad", "2-12-7", "3-8-2", "13-4-1"],
+)
+def test_estimator_failures_count_the_bad_cosets(monkeypatch, probs, n, k, bad, products):
+    # A trial with code C and shift s fails when no -(c + s), c in C, is typical:
+    # those vectors are the coset of -s, so the trial fails exactly when that
+    # coset is bad under the typicality rule at the same epsilon. One code fed
+    # every shift of Z_p^n meets each coset p**k times.
+    p = len(probs)
+    target = validate_discrete(probs, p)
+    code = sample_generator((5, n, 0), k, n, p)
+    region = build_typicality_partition(code, target)
+    assert region.bad_count == bad
+    drawn = np.empty((p**n, k + 1, n), dtype=np.int64)
+    drawn[:, :k], drawn[:, k] = code.generator, lex_grid(p, n)
+
+    def every_shift(seed, start, count, *shape):
+        return drawn[start : start + count]
+
+    monkeypatch.setattr(lqn.analysis, "trial_draws", every_shift)
+    # the digit tables' entries; one fewer of budget forms the digits by products
+    tables = p ** (2 * (k // 2) + 1) + p ** (2 * (k - k // 2))
+    assert tables <= lqn.analysis._HEAD_ENTRIES
+    if products:
+        monkeypatch.setattr(lqn.analysis, "_HEAD_ENTRIES", tables - 1)
+    est = estimate_match_probability(target, n, k, p**n, 0)
+    assert est.failures == region.bad_count * p**k
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ import lqn.continuous
 import lqn.distributions
 import lqn.io
 import lqn.partition
+import lqn.zplinalg
 from lqn import (
     ContinuousReport,
     analyze_region,
@@ -587,17 +588,40 @@ def _refuse(*args):
     raise AssertionError(f"reached with {args!r}")
 
 
-@pytest.mark.parametrize("p", [1000003, 2305843009213693951])
-def test_capped_continuous_folds_nothing(tmp_path, capsys, monkeypatch, p):
-    # p**2 is over MAX_POINTS, or over the int64 encodings; the cap comes before
-    # the binning and before the trial-division primality test
+def _divide_below(monkeypatch, limit):
+    """Let is_prime, the one function that trial-divides, run only below limit."""
+    is_prime = lqn.zplinalg.is_prime
+    monkeypatch.setattr(
+        lqn.zplinalg, "is_prime", lambda p: _refuse(p) if p >= limit else is_prime(p)
+    )
+
+
+@pytest.mark.parametrize(
+    "p, cap",
+    # 3037000493**2 < 2**63 passes a cap of 2**63 - 1, but 2 (p - 1)**2 >= 2**63
+    [
+        (1000003, []),
+        (2305843009213693951, []),
+        (3037000493, []),
+        (3037000493, ["--max-points", 2**63 - 1]),
+    ],
+    ids=["1000003", "2305843009213693951", "3037000493", "3037000493-huge-cap"],
+)
+def test_capped_continuous_folds_nothing(tmp_path, capsys, monkeypatch, p, cap):
+    # 1000003 is within the int64 products bound, so it is tested for primality,
+    # which is quick there, and then refused by the point cap; a p past the bound
+    # is refused by it, whatever --max-points says, and never trial-divided.
+    # None is binned
     monkeypatch.setattr(lqn.continuous, "bin_density", _refuse)
-    monkeypatch.setattr(lqn.continuous, "ensure_prime", _refuse)
+    _divide_below(monkeypatch, 2**32)
     out = tmp_path / "out"
     argv = ["continuous", "--dist", "triangle", "--p", p, "--n", 2, "--k", 1]
-    assert run(argv + ["--out-dir", out]) == 3
+    assert run(argv + cap + ["--out-dir", out]) == 3
     assert not out.exists()
-    assert capsys.readouterr().out.startswith(f"error: {p**2} points ")
+    reason = f"modulus {p} at length 2 overflows the int64 dot products"
+    if p == 1000003:
+        reason = "1000006000009 points exceed the cap 16777216"
+    assert capsys.readouterr().out == f"error: {reason}\n"
 
 
 @pytest.mark.parametrize("n", [3, 64])
@@ -616,12 +640,7 @@ def test_huge_modulus_file_is_refused_before_primality(tmp_path, capsys, monkeyp
     # trial division on this 61-bit prime would run for minutes; the bundled
     # cases still validate their own small moduli
     huge = 2305843009213693951
-    ensure_prime = lqn.distributions.ensure_prime
-
-    def small_only(p):
-        return _refuse(p) if p == huge else ensure_prime(p)
-
-    monkeypatch.setattr(lqn.distributions, "ensure_prime", small_only)
+    _divide_below(monkeypatch, huge)
     path = tmp_path / "huge_p.json"
     path.write_text(json.dumps({"type": "discrete", "p": huge, "probs": [0.5, 0.5]}))
     out = tmp_path / "out"

@@ -8,6 +8,7 @@ import pytest
 from numpy.random.bit_generator import _coerce_to_uint32_array
 
 import lqn.codes
+import lqn.zplinalg
 from lqn import (
     NoFeasibleRateError,
     RankDeficientError,
@@ -75,7 +76,7 @@ def test_sample_generator_refuses_an_overflowing_modulus_before_trial_division(m
     def refuse(*args):
         raise AssertionError("tested primality or drew before the int64 check")
 
-    monkeypatch.setattr(lqn.codes, "ensure_prime", refuse)
+    monkeypatch.setattr(lqn.zplinalg, "is_prime", refuse)
     monkeypatch.setattr(lqn.codes, "Stream", refuse)
     with pytest.raises(TooLargeError, match="overflows the int64 dot products"):
         sample_generator(0, 2, 4, 2**61 - 1)

@@ -9,9 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import lqn.codes
 import lqn.continuous
-import lqn.distributions
+import lqn.zplinalg
 from lqn import (
     ContinuousTarget,
     DimensionMismatchError,
@@ -345,12 +344,13 @@ def test_continuous_divergence_reads_the_construction_bins(monkeypatch):
 
 @pytest.mark.parametrize("p", [1000003, 2305843009213693951])
 def test_build_continuous_checks_point_cap_before_folding(monkeypatch, p):
-    # p**2 is over MAX_POINTS (1000003) or over the int64 encodings (2**61 - 1)
+    # p**2 is over MAX_POINTS (1000003), or p is past the int64 products bound
+    # (2**61 - 1): either is refused before the density is binned. 1000003 is
+    # tested for primality first, quick within the bound, so only binning is forbidden
     def refuse(*args):
-        raise AssertionError("binned or tested primality before the point cap")
+        raise AssertionError("binned before the point cap")
 
     monkeypatch.setattr(lqn.continuous, "bin_density", refuse)
-    monkeypatch.setattr(lqn.continuous, "ensure_prime", refuse)
     with pytest.raises(TooLargeError):
         build_continuous(TRIANGLE, p, 2, 1, 0)
 
@@ -360,15 +360,17 @@ def _no_trial_division(monkeypatch):
         raise AssertionError("binned, or tested primality past the products bound")
 
     monkeypatch.setattr(lqn.continuous, "bin_density", refuse)
-    for module in (lqn.codes, lqn.continuous, lqn.distributions):
-        monkeypatch.setattr(module, "ensure_prime", refuse)
+    # every ensure_prime reaches is_prime, the one function that trial-divides
+    monkeypatch.setattr(lqn.zplinalg, "is_prime", refuse)
 
 
-def test_build_continuous_holds_a_modulus_past_the_products_bound_to_the_cap(monkeypatch):
-    # 2 * (p - 1)**2 >= 2**63: the point count is refused, and p is never trial-divided
+def test_build_continuous_refuses_a_modulus_past_the_products_bound_before_the_cap(monkeypatch):
+    # p**2 is over the int64 encodings too, but 2 * (p - 1)**2 >= 2**63 is
+    # refused first, as make_code and sample_generator refuse it, and p is never
+    # trial-divided
     p = 2305843009213693951
     _no_trial_division(monkeypatch)
-    with pytest.raises(TooLargeError, match=f"^{p**2} points overflow"):
+    with pytest.raises(TooLargeError, match=f"^modulus {p} at length 2 overflows"):
         build_continuous(TRIANGLE, p, 2, 1, 0)
 
 

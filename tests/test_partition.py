@@ -93,6 +93,31 @@ def test_coset_ids_matches_scalar():
     assert sorted(np.unique(ids)) == list(range(9))
 
 
+def _unit_row_code(n):
+    """The binary code spanned by e_0 in Z_2^n, with 2**(n-1) cosets."""
+    return make_code(np.eye(n, dtype=np.int64)[:1], 2)
+
+
+def test_coset_ids_refuse_a_code_with_more_cosets_than_int64_holds():
+    # 2**69 cosets: int64 base-2 place values wrap, so e_1 once took coset 0's
+    # index and e_6 the index -2**63
+    code, unit = _unit_row_code(70), np.eye(70, dtype=np.int64)
+    for j in (1, 6):
+        assert not lattice_contains(code, unit[j])
+        with pytest.raises(TooLargeError, match=f"^{2**69} cosets overflow the int64"):
+            coset_id(code, unit[j])
+    with pytest.raises(TooLargeError, match=f"^{2**63} cosets overflow the int64"):
+        coset_ids(_unit_row_code(64), unit[:3, :64])
+
+
+def test_coset_ids_reach_the_largest_int64_code():
+    # 2**62 cosets, the most a binary code's indices hold: e_j is coset 2**(62 - j)
+    unit = np.eye(63, dtype=np.int64)
+    ids = coset_ids(_unit_row_code(63), unit)
+    assert ids.tolist() == [0] + [2 ** (62 - j) for j in range(1, 63)]
+    assert coset_id(_unit_row_code(63), unit[1] + unit[2] + unit[62]) == 2**61 + 2**60 + 1
+
+
 def test_ml_region_fixture():
     # independently enumerated optimum per coset for P = (0.5, 0.3, 0.2)
     region = build_ml_partition(C3, P532)
@@ -445,6 +470,20 @@ def test_quantize_refuses_non_integer_vectors(y):
     region = build_ml_partition(C3, P532)
     with pytest.raises(ValueError, match="expected integer entries"):
         quantize(region, y)
+
+
+def test_quantize_refuses_a_lattice_point_below_int64():
+    # the representative [1, 2, 2] takes the first two entries below -2**63; they
+    # once wrapped to 2**63 - 1, a point off the lattice
+    region = build_ml_partition(make_code([[1, 2, 0]], 3), validate_discrete([0.2, 0.3, 0.5], 3))
+    low = -(2**63)
+    with pytest.raises(ValueError, match="leaves int64"):
+        quantize(region, [low, low + 1, 5])
+    # the same coset three higher stays in range
+    out = quantize(region, [low + 3, low + 4, 5])
+    assert out.remainder.tolist() == [1, 2, 2]
+    assert out.lattice_point.tolist() == [low + 2, low + 2, 3]
+    assert lattice_contains(region.code, out.lattice_point)
 
 
 def test_quantize_takes_integral_floats_as_integers():
