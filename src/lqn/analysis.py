@@ -21,7 +21,7 @@ from .codes import MAX_CODEWORDS, check_cap, lex_grid, rate, seed_words, trial_d
 from .distributions import (
     DiscreteTarget, TypicalityParams, alpha, log2_likelihoods, typical_interval
 )
-from .partition import FundamentalRegion
+from .partition import FundamentalRegion, check_modulus
 
 BOUND_TOL = 1e-9
 
@@ -40,6 +40,7 @@ def divergence_bits(rep_ll: np.ndarray, offset: float = 0.0) -> float:
 
 def kl_region_vs_product(region: FundamentalRegion, target: DiscreteTarget) -> float:
     """D(uniform on the cell || n-fold product of the target), in bits."""
+    check_modulus(region.code, target)
     return divergence_bits(log2_likelihoods(region.reps, target))
 
 
@@ -55,6 +56,7 @@ def sum_marginal_kl(region: FundamentalRegion, target: DiscreteTarget) -> float:
     Never exceeds the joint divergence; equality holds when the cell is a
     coordinate box.
     """
+    check_modulus(region.code, target)
     return _marginal_kl(marginals(region), target)
 
 
@@ -73,6 +75,7 @@ def eps_star(region: FundamentalRegion, target: DiscreteTarget) -> tuple[float, 
     Budget per dimension: 3*eps + bad_fraction * (alpha - eps). Callers hold
     their exact per-dimension divergence to it with a BOUND_TOL slack.
     """
+    check_modulus(region.code, target)
     return _budget(region, alpha(target))
 
 
@@ -97,6 +100,7 @@ class AnalysisReport:
 
 
 def analyze_region(region: FundamentalRegion, target: DiscreteTarget) -> AnalysisReport:
+    # kl_region_vs_product refuses a target over another modulus first
     d = kl_region_vs_product(region, target)
     per_dim = d / region.code.n
     marg, a = marginals(region), alpha(target)

@@ -26,7 +26,7 @@ from .codes import MAX_POINTS, check_cap, rate, sample_generator, select_k
 from .continuous import build_continuous, continuous_divergence
 from .distributions import ContinuousTarget, DiscreteTarget, TypicalityParams
 from .errors import LqnError, TooLargeError
-from .partition import choose, region_of
+from .partition import build_region, choose
 
 
 def _max_points(args) -> int | None:
@@ -97,28 +97,18 @@ def _run_keys(dist, seed, code) -> dict:
     return {"dist": dist, "seed": seed, "p": code.p, "n": code.n, "k": code.k}
 
 
-def _winner_region(target, criterion, tp, max_points, code, pick):
-    """The region of a _search winner's code and pick, and its analysis.
-
-    This is the one place a search winner becomes a region. A pick scored
-    without rows has its rows selected again here, under the same point cap.
-    """
-    if pick[0] is None:
-        pick = choose(code, target, criterion, tp.epsilon, max_points)
-    region = region_of(code, target, criterion, tp.epsilon, pick)
-    return region, analyze_region(region, target)
-
-
 def _emit_bundle(dist, seed, target, criterion, tp, max_points, found, direction=None):
-    """The bundle of the winner in found, a _search result, whose region
-    _winner_region builds and analyzes. Returns the report, marginals and
-    region files, the report and the winning trial.
+    """The bundle of the winner in found, a (rows, (trial, code)) pair as _search
+    returns: build_region builds the region of its code, under the point cap,
+    and analyze_region analyzes it. Returns the report, marginals and region
+    files, the report and the winning trial.
 
     A search passes its direction: the provenance then also carries the
     direction and the trial count, and the trial rows go to trials.csv.
     """
-    rows, (t, code, pick) = found
-    region, report = _winner_region(target, criterion, tp, max_points, code, pick)
+    rows, (t, code) = found
+    region = build_region(code, target, criterion, tp=tp, max_points=max_points)
+    report = analyze_region(region, target)
     search = {} if direction is None else {"direction": direction, "trials": len(rows)}
     provenance = {
         **_run_keys(dist, seed, code),
@@ -138,29 +128,31 @@ def _emit_bundle(dist, seed, target, criterion, tp, max_points, found, direction
 
 
 def _search(target, n, k, criterion, tp, seed, trials, max_points, direction="minimize"):
-    """Each trial's (trial, D_total_bits) row, scored without building a region,
-    and the (trial, code, pick) of the first smallest (or largest) D; each D is,
-    bit for bit, what analyze_region reports for the region built from its pick.
+    """Each trial's (trial, D_total_bits) row, and the (trial, code) of the first
+    smallest (or largest) D.
 
-    Trial 0's pick keeps its rows; a later trial is scored without them, so
-    under ML its pick's rows are None and _winner_region selects them again."""
+    Every trial is scored by choose without its rows and builds no region;
+    each D is, bit for bit, what analyze_region reports for the region that
+    build_region makes of its code.
+    """
     sign = 1.0 if direction == "minimize" else -1.0
     rows, best = [], None
     for t in range(trials):
         code = sample_generator((seed, t), k, n, target.p)
-        pick = choose(code, target, criterion, tp.epsilon, max_points, with_rows=t == 0)
-        rows.append((t, divergence_bits(pick[1])))
+        _, ll = choose(code, target, criterion, tp.epsilon, max_points, with_rows=False)
+        rows.append((t, divergence_bits(ll)))
         if best is None or sign * rows[t][1] < sign * rows[best[0]][1]:
-            best = (t, code, pick)
+            best = (t, code)
     return rows, best
 
 
 def cmd_analyze(args) -> tuple[dict, str]:
     target, n, case, tp, max_points = _resolve_discrete(args)
     k = _pick_k(args, case, target, n)
-    found = _search(target, n, k, args.criterion, tp, args.seed, 1, max_points)
+    # one code, trial 0's, and no trial rows
+    code = sample_generator((args.seed, 0), k, n, target.p)
     files, report, _ = _emit_bundle(
-        args.dist, args.seed, target, args.criterion, tp, max_points, found
+        args.dist, args.seed, target, args.criterion, tp, max_points, ((), (0, code))
     )
     return files, f"D_per_dim={report.D_per_dim!r} bits, wrote {{paths[report.json]}}"
 
@@ -192,7 +184,7 @@ def _parse_k_range(text: str, n: int) -> list[int]:
 
 
 def _sweep(target, n, ks, criterion, tp, seed, trials, max_points):
-    """Sweep rows (k, R_bits, best D_per_dim), and each k's trial rows and best pick."""
+    """Sweep rows (k, R_bits, best D_per_dim), and each k's _search result."""
     per_k = {k: _search(target, n, k, criterion, tp, seed, trials, max_points) for k in ks}
     rows = [(k, rate(k, n, target.p), min(d for _, d in per_k[k][0]) / n) for k in ks]
     return rows, per_k
@@ -259,8 +251,9 @@ def cmd_bounds(args) -> tuple[dict, str]:
         est = vars(estimate_match_probability(
             target, n, k, args.trials, args.seed, epsilon=tp.epsilon
         ))
-    _, (_, code, pick) = _search(target, n, k, "typicality", tp, args.seed, 1, max_points)
-    _, report = _winner_region(target, "typicality", tp, max_points, code, pick)
+    code = sample_generator((args.seed, 0), k, n, p)
+    region = build_region(code, target, "typicality", tp=tp, max_points=max_points)
+    report = analyze_region(region, target)
     payload = {
         "kind": "bounds",
         **_run_keys(args.dist, args.seed, code),

@@ -224,10 +224,13 @@ def _knot_mass(knots: tuple[tuple[float, float], ...]) -> Fraction:
 
 
 def validate_continuous(half_width: float, knots) -> ContinuousTarget:
-    """Check the knot list spans [-A, A], stays positive, and integrates to one."""
+    """Check the knots are [x, f] pairs that span [-A, A], stay positive and integrate to one."""
     a = float(half_width)
     if not 0.0 < a < math.inf:
         raise NotPermissibleError(f"half width must be positive and finite, got {a!r}")
+    for knot in knots:
+        if len(knot) != 2:
+            raise DimensionMismatchError(f"knot {knot!r} is not an [x, f] pair")
     pts = tuple((float(x), float(f)) for x, f in knots)
     if not all(math.isfinite(v) for pt in pts for v in pt):
         raise NotPermissibleError("knot positions and values must be finite")

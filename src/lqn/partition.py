@@ -79,9 +79,13 @@ def coset_id(code: LinearCode, y) -> int:
     """Index in [0, p**(n-k)) for the coset of y; constant on cosets.
 
     The index is the syndrome vector read as base-p digits, most significant
-    first.
+    first. y is one length-n integer vector, as lattice_contains takes it;
+    anything else is refused with ValueError.
     """
-    return int(coset_ids(code, mod_reduce(y, code.p)[None, :])[0])
+    y = mod_reduce(y, code.p)
+    if y.ndim != 1 or y.size != code.n:
+        raise ValueError(f"expected a length-{code.n} vector")
+    return int(coset_ids(code, y[None, :])[0])
 
 
 def coset_ids(code: LinearCode, ys) -> np.ndarray:
@@ -94,6 +98,17 @@ def coset_ids(code: LinearCode, ys) -> np.ndarray:
     check_cap(code.p, m, None, 1 << 63, "cosets")
     pows = code.p ** np.arange(m - 1, -1, -1, dtype=np.int64)
     return mod_reduce(ys, code.p) @ code.parity.T % code.p @ pows
+
+
+def check_modulus(code: LinearCode, target: DiscreteTarget) -> None:
+    """Refuse a target over another modulus than the code's, with ValueError.
+
+    The one check that selection and every analysis of a region make: past
+    it, the code's symbols would be read mod the target's modulus and the
+    marginals cut short, giving wrong numbers with no error.
+    """
+    if target.p != code.p:
+        raise ValueError("target modulus differs from code modulus")
 
 
 def _members(code: LinearCode) -> np.ndarray:
@@ -146,8 +161,7 @@ def choose(
         raise ValueError(f"unknown criterion {criterion!r}")
     p, n, m = code.p, code.n, code.n - code.k
     check_cap(p, n, max_points, MAX_POINTS, "points")
-    if target.p != p:
-        raise ValueError("target modulus differs from code modulus")
+    check_modulus(code, target)
     if criterion == "typicality":
         lo, hi = typical_interval(n, target, epsilon)
     table = _members(code)
@@ -308,11 +322,8 @@ def quantize(region: FundamentalRegion, y) -> QuantizationResult:
     and so must the lattice point's: a vector whose point y - rep would fall
     below int64's range is refused with ValueError too.
     """
-    residue = mod_reduce(y, region.code.p)
-    if residue.ndim != 1 or residue.size != region.code.n:
-        raise ValueError(f"expected a length-{region.code.n} vector")
-    rep = region.reps[coset_id(region.code, residue)]
-    # mod_reduce accepted y, so its entries are integers that int64 holds exactly
+    rep = region.reps[coset_id(region.code, y)]
+    # coset_id's mod_reduce accepted y, so its entries are integers that int64 holds exactly
     y = np.asarray(y, dtype=np.int64)
     if (y < rep + np.iinfo(np.int64).min).any():
         raise ValueError(f"the lattice point of {y.tolist()} leaves int64")

@@ -145,6 +145,23 @@ def test_analysis_report_is_consistent():
     assert rep.bound_satisfied
 
 
+@pytest.mark.parametrize(
+    "other", [validate_discrete([0.2, 0.3, 0.5], 3), uniform_target(7)], ids=["Z3", "Z7"]
+)
+@pytest.mark.parametrize(
+    "analysis", [analyze_region, kl_region_vs_product, sum_marginal_kl, eps_star],
+    ids=lambda f: f.__name__,
+)
+def test_analysis_refuses_a_target_over_another_modulus(analysis, other):
+    # a Z_5 region: the Z_3 target once read its symbols mod 3 and cut the
+    # marginals short, for D_per_dim 0.4732, and the Z_7 one gave 1.2594
+    region = build_ml_partition(
+        sample_generator((1, 0), 1, 3, 5), validate_discrete([0.4, 0.3, 0.1, 0.1, 0.1], 5)
+    )
+    with pytest.raises(ValueError, match="^target modulus differs from code modulus$"):
+        analysis(region, other)
+
+
 def test_analysis_computes_each_part_once(monkeypatch):
     t = validate_discrete([0.9, 0.05, 0.05], 3)
     region = build_typicality_partition(sample_generator(4, 1, 4, 3), t)

@@ -136,18 +136,25 @@ def test_search_direction(tmp_path):
 
 
 def test_search_rebuilds_only_the_first_best_trial(tmp_path, monkeypatch):
-    """Each trial draws one code and selects its cell once, and only the
-    winner's pick is turned into a region. Trial 0 keeps its rows; a later
-    trial is scored without them, so a later winner is selected once more,
-    with rows, just before its region is built. Under a uniform target every
-    trial ties at D = k*log2(p), so both directions keep trial 0 and select
-    nothing again; a sweep builds no region and selects nothing again."""
-    calls = {"choose": [], "region_of": [], "sample_generator": []}
-    for name, log in calls.items():
-        def counted(*a, _fn=getattr(lqn.cli, name), _log=log, **kw):
-            _log.append(a)
-            return _fn(*a, **kw)
-        monkeypatch.setattr(lqn.cli, name, counted)
+    """Each trial draws one code and selects its cell once, without rows, and
+    only the winner's code becomes a region: build_region selects it once
+    more, with rows, and builds it. Under a uniform target every trial ties at
+    D = k*log2(p), so both directions keep trial 0; a sweep builds no region,
+    and analyze and bounds draw one code and build its region, selecting once."""
+    calls = {"choose": [], "build_region": [], "sample_generator": []}
+
+    def counter(fn, log):
+        def counted(*a, **kw):
+            log.append(a)
+            return fn(*a, **kw)
+        return counted
+
+    # cli's choose and the one build_region calls are lqn.partition.choose: count both
+    selected = counter(lqn.partition.choose, calls["choose"])
+    for module in (lqn.cli, lqn.partition):
+        monkeypatch.setattr(module, "choose", selected)
+    for name in ("build_region", "sample_generator"):
+        monkeypatch.setattr(lqn.cli, name, counter(getattr(lqn.cli, name), calls[name]))
 
     def counts():
         out = {name: len(log) for name, log in calls.items()}
@@ -161,7 +168,7 @@ def test_search_rebuilds_only_the_first_best_trial(tmp_path, monkeypatch):
         out = tmp_path / direction
         argv = ["search", *base, "--k", 2, "--direction", direction, "--out-dir", out]
         assert run(argv) == 0
-        assert counts() == {"choose": 5, "region_of": 1, "sample_generator": 5}
+        assert counts() == {"choose": 6, "build_region": 1, "sample_generator": 5}
         report = load_json(out / "report.json")
         assert report["provenance"]["trial"] == 0
         rows = (out / "trials.csv").read_text().splitlines()[2:]
@@ -169,20 +176,26 @@ def test_search_rebuilds_only_the_first_best_trial(tmp_path, monkeypatch):
         assert {float(row.split(",")[1]) for row in rows} == {report["D_total_bits"]}
         assert report["D_total_bits"] == pytest.approx(2 * np.log2(3))
     assert run(["sweep-rate", *base, "--k-range", "1:3", "--out-dir", tmp_path / "sw"]) == 0
-    assert counts() == {"choose": 15, "region_of": 0, "sample_generator": 15}
-    # w3 sweeps k = 1..5 with 2 trials each, then builds the winner of the argmin k:
-    # trial 0 of k = 2 at the case's seed, which kept its rows
+    assert counts() == {"choose": 15, "build_region": 0, "sample_generator": 15}
+    # w3 sweeps k = 1..5 with 2 trials each, then builds the winner of the argmin k
     assert run(["reproduce", "--case", "w3", "--trials", 2, "--out-dir", tmp_path / "w3"]) == 0
-    assert counts() == {"choose": 10, "region_of": 1, "sample_generator": 10}
-    # at seed 3 trial 1 of k = 2 wins: it is selected again, and nothing else is
+    assert counts() == {"choose": 11, "build_region": 1, "sample_generator": 10}
+    # at seed 3 trial 1 of k = 2 wins, and its code is the one built
     out = tmp_path / "w3-seed3"
     assert run(["reproduce", "--case", "w3", "--trials", 2, "--seed", 3, "--out-dir", out]) == 0
     prov = load_json(out / "report.json")["provenance"]
     assert (prov["k"], prov["trial"]) == (2, 1)
-    again = calls["choose"][-1][0]
+    built = calls["build_region"][-1][0]
     winner = sample_generator((3, 1), 2, prov["n"], prov["p"])
-    assert np.array_equal(again.generator, winner.generator)
-    assert counts() == {"choose": 11, "region_of": 1, "sample_generator": 10}
+    assert np.array_equal(built.generator, winner.generator)
+    assert counts() == {"choose": 11, "build_region": 1, "sample_generator": 10}
+    # analyze and bounds draw trial 0's code and build its region, scoring no trial
+    one = ["--dist", dist, "--n", 4, "--k", 2, "--seed", 6]
+    for command in ("analyze", "bounds"):
+        assert run([command, *one, "--out-dir", tmp_path / command]) == 0
+        built = calls["build_region"][-1][0]
+        assert np.array_equal(built.generator, sample_generator((6, 0), 2, 4, 3).generator)
+        assert counts() == {"choose": 1, "build_region": 1, "sample_generator": 1}
 
 
 def test_reselected_winner_keeps_the_point_cap(tmp_path, monkeypatch):
@@ -756,6 +769,19 @@ def test_bad_counts_exit_2_before_any_output(tmp_path, capsys, monkeypatch, argv
     assert not out.exists()
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("knots", [[[-1, 0.5, 3], [1, 0.5]], [[-1, 0.5], [1]]], ids=str)
+def test_a_knot_that_is_not_a_pair_is_named(tmp_path, capsys, knots):
+    # a three-value knot once printed "too many values to unpack (expected 2)"
+    dist = tmp_path / "knots.json"
+    dist.write_text(json.dumps({"type": "continuous", "A": 1, "knots": knots}))
+    out = tmp_path / "out"
+    argv = ["continuous", "--dist", dist, "--p", 5, "--n", 3, "--out-dir", out]
+    assert run(argv) == 2
+    assert not out.exists()
+    bad = next(knot for knot in knots if len(knot) != 2)
+    assert capsys.readouterr().out == f"error: knot {bad!r} is not an [x, f] pair\n"
 
 
 def test_a_bare_exception_is_named(capsys, monkeypatch):

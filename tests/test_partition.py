@@ -118,6 +118,17 @@ def test_coset_ids_reach_the_largest_int64_code():
     assert coset_id(_unit_row_code(63), unit[1] + unit[2] + unit[62]) == 2**61 + 2**60 + 1
 
 
+@pytest.mark.parametrize("y", [5, [[1, 2, 0]], [1, 2]], ids=str)
+def test_coset_id_refuses_anything_but_one_length_n_vector(y):
+    # a scalar once raised IndexError, a 1 x n matrix TypeError, and a short
+    # vector numpy's matmul message; lattice_contains and quantize refuse all three
+    code = make_code([[1, 2, 0]], 3)
+    region = build_ml_partition(code, validate_discrete([0.2, 0.3, 0.5], 3))
+    for call in (coset_id, lattice_contains, quantize):
+        with pytest.raises(ValueError, match="^expected a length-3 vector$"):
+            call(region if call is quantize else code, y)
+
+
 def test_ml_region_fixture():
     # independently enumerated optimum per coset for P = (0.5, 0.3, 0.2)
     region = build_ml_partition(C3, P532)
